@@ -18,11 +18,11 @@ use std::fmt;
 use std::rc::Rc;
 
 use ps_ir::symbol::gensym;
-use ps_ir::Symbol;
+use ps_ir::{ScopedMap, Symbol, SymbolSet};
 
 use ps_lambda::syntax::{Expr, SrcProgram, SrcTy};
 
-use crate::syntax::{CExp, CFun, CProgram, CTy, CVal};
+use crate::syntax::{BinOp, CExp, CFun, CProgram, CTy, CVal};
 
 /// An error raised during closure conversion (only on inputs violating the
 /// CPS invariants).
@@ -49,92 +49,173 @@ pub fn cc_ty(ty: &SrcTy) -> CTy {
     }
 }
 
+/// The capture list of every lambda of a CPS'd program, keyed by node
+/// address: its free variables that are locally bound where it stands
+/// (top-level function names are globals, not captured), sorted.
+type Captures = HashMap<*const Expr, Vec<Symbol>>;
+
+/// Computes [`Captures`] for a whole program in one pass.
+///
+/// Every variable occurrence adds its name to the free-variable set of
+/// each lambda between it and its binder, innermost first, and stops at
+/// the first lambda that already has it: the lambdas further out got it
+/// when that one did. Each (lambda, captured name) pair is thus paid for
+/// once, and the capture lists are part of the output anyway.
+struct FreeVars<'a> {
+    top: &'a HashMap<Symbol, SrcTy>,
+    /// In-scope locals, mapped to the number of lambdas around their
+    /// binder.
+    depth: ScopedMap<usize>,
+    /// One free-variable set per lambda around the current node,
+    /// outermost first.
+    frames: Vec<SymbolSet>,
+    out: Captures,
+}
+
+impl FreeVars<'_> {
+    fn program(p: &SrcProgram, top: &HashMap<Symbol, SrcTy>) -> Captures {
+        let mut fv = FreeVars {
+            top,
+            depth: ScopedMap::new(),
+            frames: Vec::new(),
+            out: Captures::new(),
+        };
+        for d in &p.defs {
+            fv.bound(d.param, &d.body);
+        }
+        fv.walk(&p.main);
+        fv.out
+    }
+
+    /// Walks `body` in the scope of a new local `x`.
+    fn bound(&mut self, x: Symbol, body: &Expr) {
+        let shadowed = self.depth.bind(x, self.frames.len());
+        self.walk(body);
+        self.depth.restore(shadowed);
+    }
+
+    fn walk(&mut self, e: &Expr) {
+        match e {
+            Expr::Int(_) => {}
+            Expr::Var(x) => {
+                if let Some(&d) = self.depth.get(x) {
+                    for frame in self.frames[d..].iter_mut().rev() {
+                        if !frame.insert(*x) {
+                            break;
+                        }
+                    }
+                }
+            }
+            Expr::Bin(_, a, b) | Expr::Pair(a, b) | Expr::App(a, b) => {
+                self.walk(a);
+                self.walk(b);
+            }
+            Expr::If0(a, b, c) => {
+                self.walk(a);
+                self.walk(b);
+                self.walk(c);
+            }
+            Expr::Proj(_, a) => self.walk(a),
+            Expr::Lam { param, body, .. } => {
+                self.frames.push(SymbolSet::default());
+                self.bound(*param, body);
+                self.close_frame(e);
+            }
+            Expr::Let { x, rhs, body } => {
+                self.walk(rhs);
+                self.bound(*x, body);
+            }
+        }
+    }
+
+    /// Records the capture list of `lam` from the innermost frame.
+    fn close_frame(&mut self, lam: &Expr) {
+        let frame = self.frames.pop().unwrap_or_default();
+        let mut fvs: Vec<Symbol> = frame
+            .into_iter()
+            .filter(|x| !self.top.contains_key(x))
+            .collect();
+        fvs.sort();
+        self.out.insert(lam as *const Expr, fvs);
+    }
+}
+
+/// A converted `let` right-hand side, waiting for its converted body.
+enum Rhs {
+    Prim(BinOp, CVal, CVal),
+    Proj(u8, CVal),
+    Val(CVal),
+}
+
+impl Rhs {
+    fn bind(self, x: Symbol, body: CExp) -> CExp {
+        match self {
+            Rhs::Prim(op, a, b) => CExp::LetPrim {
+                x,
+                op,
+                a,
+                b,
+                body: Rc::new(body),
+            },
+            Rhs::Proj(i, v) => CExp::let_proj(x, i, v, body),
+            Rhs::Val(v) => CExp::let_(x, v, body),
+        }
+    }
+}
+
 struct Cc<'a> {
     /// Top-level function names of the CPS'd program (globals, not
     /// captured).
     top: &'a HashMap<Symbol, SrcTy>,
+    captures: Captures,
+    /// In-scope variables with both their source and converted types,
+    /// extended and restored per binder.
+    env: ScopedMap<(SrcTy, CTy)>,
     /// Lifted code blocks.
     lifted: Vec<CFun>,
 }
 
-/// Conversion-time environment: in-scope variables with both their source
-/// and converted types.
-#[derive(Clone, Default)]
-struct Env {
-    vars: HashMap<Symbol, (SrcTy, CTy)>,
-}
-
 impl<'a> Cc<'a> {
-    /// Ordered free variables of `e` that are bound in `env` (top-level
-    /// names and the expression's own binders excluded).
-    fn free_vars(&self, e: &Expr, env: &Env) -> Vec<Symbol> {
-        fn go(e: &Expr, bound: &mut Vec<Symbol>, out: &mut Vec<Symbol>) {
-            match e {
-                Expr::Int(_) => {}
-                Expr::Var(x) => {
-                    if !bound.contains(x) && !out.contains(x) {
-                        out.push(*x);
-                    }
-                }
-                Expr::Bin(_, a, b) | Expr::Pair(a, b) | Expr::App(a, b) => {
-                    go(a, bound, out);
-                    go(b, bound, out);
-                }
-                Expr::If0(a, b, c) => {
-                    go(a, bound, out);
-                    go(b, bound, out);
-                    go(c, bound, out);
-                }
-                Expr::Proj(_, a) => go(a, bound, out),
-                Expr::Lam { param, body, .. } => {
-                    bound.push(*param);
-                    go(body, bound, out);
-                    bound.pop();
-                }
-                Expr::Let { x, rhs, body } => {
-                    go(rhs, bound, out);
-                    bound.push(*x);
-                    go(body, bound, out);
-                    bound.pop();
-                }
-            }
-        }
-        let mut raw = Vec::new();
-        go(e, &mut Vec::new(), &mut raw);
-        let mut out: Vec<Symbol> = raw
-            .into_iter()
-            .filter(|x| env.vars.contains_key(x) && !self.top.contains_key(x))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+    /// The converted type of the in-scope variable `x`.
+    fn var_cty(&self, x: Symbol) -> CResult<CTy> {
+        self.env
+            .get(&x)
+            .map(|(_, c)| c.clone())
+            .ok_or_else(|| CcError(format!("unbound variable {x}")))
     }
 
-    /// Builds the environment tuple value and its types for a capture list.
-    fn env_tuple(&self, fvs: &[Symbol], env: &Env) -> (CVal, CTy, SrcTy) {
-        if fvs.is_empty() {
-            return (CVal::Int(0), CTy::Int, SrcTy::Int);
+    /// Builds the environment tuple value and its type for a capture list.
+    fn env_tuple(&self, fvs: &[Symbol]) -> CResult<(CVal, CTy)> {
+        let Some((&last, init)) = fvs.split_last() else {
+            return Ok((CVal::Int(0), CTy::Int));
+        };
+        let mut val = CVal::Var(last);
+        let mut cty = self.var_cty(last)?;
+        for &x in init.iter().rev() {
+            val = CVal::pair(CVal::Var(x), val);
+            cty = CTy::prod(self.var_cty(x)?, cty);
         }
-        let (last_src, last_cc) = env.vars[fvs.last().unwrap()].clone();
-        let mut val = CVal::Var(*fvs.last().unwrap());
-        let mut cty = last_cc;
-        let mut sty = last_src;
-        for x in fvs[..fvs.len() - 1].iter().rev() {
-            let (xs, xc) = env.vars[x].clone();
-            val = CVal::pair(CVal::Var(*x), val);
-            cty = CTy::prod(xc, cty);
-            sty = SrcTy::prod(xs, sty);
-        }
-        (val, cty, sty)
+        Ok((val, cty))
+    }
+
+    /// Converts `body` in the scope of a new variable `x`. Inlined so that
+    /// the recursion along a `let` spine costs one `tail` frame per
+    /// binding, not two.
+    #[inline(always)]
+    fn tail_bound(&mut self, x: Symbol, tys: (SrcTy, CTy), body: &Expr) -> CResult<CExp> {
+        let shadowed = self.env.bind(x, tys);
+        let out = self.tail(body);
+        self.env.restore(shadowed);
+        out
     }
 
     /// Converts a *value* expression (the CPS invariant guarantees these
     /// are the only expressions in value positions).
-    fn value(&mut self, env: &Env, e: &Expr) -> CResult<CVal> {
+    fn value(&mut self, e: &Expr) -> CResult<CVal> {
         match e {
             Expr::Int(n) => Ok(CVal::Int(*n)),
             Expr::Var(x) => {
-                if env.vars.contains_key(x) {
+                if self.env.contains(x) {
                     Ok(CVal::Var(*x))
                 } else if let Some(fty) = self.top.get(x) {
                     // A reference to a top-level function becomes a closure
@@ -158,191 +239,130 @@ impl<'a> Cc<'a> {
                     Err(CcError(format!("unbound variable {x}")))
                 }
             }
-            Expr::Pair(a, b) => Ok(CVal::pair(self.value(env, a)?, self.value(env, b)?)),
+            Expr::Pair(a, b) => Ok(CVal::pair(self.value(a)?, self.value(b)?)),
             Expr::Lam {
                 param,
                 param_ty,
                 body,
-            } => {
-                let fvs = self.free_vars(body, env);
-                let fvs: Vec<Symbol> = fvs.into_iter().filter(|v| v != param).collect();
-                let (env_val, env_cty, env_sty) = self.env_tuple(&fvs, env);
-                // The lifted code block.
-                let code_name = gensym("code");
-                let p = gensym("cp");
-                let envv = gensym("cenv");
-                // Inner scope: captured variables + the parameter.
-                let mut inner = Env::default();
-                for x in &fvs {
-                    inner.vars.insert(*x, env.vars[x].clone());
-                }
-                inner
-                    .vars
-                    .insert(*param, (param_ty.clone(), cc_ty(param_ty)));
-                let mut body_exp = self.tail(&inner, body)?;
-                // Destructure the environment tuple (right-nested pairs):
-                // record the binding chain forwards, then wrap the body
-                // innermost-last so each `rest` is in scope for the next.
-                enum Bind {
-                    Split {
-                        x: Symbol,
-                        cur: Symbol,
-                        rest: Symbol,
-                    },
-                    Last {
-                        x: Symbol,
-                        cur: Symbol,
-                    },
-                }
-                if !fvs.is_empty() {
-                    let mut cur = envv;
-                    let mut chain = Vec::with_capacity(fvs.len());
-                    for (i, x) in fvs.iter().enumerate() {
-                        if i + 1 == fvs.len() {
-                            chain.push(Bind::Last { x: *x, cur });
-                        } else {
-                            let rest = gensym("cenv");
-                            chain.push(Bind::Split { x: *x, cur, rest });
-                            cur = rest;
-                        }
-                    }
-                    for b in chain.into_iter().rev() {
-                        body_exp = match b {
-                            Bind::Last { x, cur } => CExp::let_(x, CVal::Var(cur), body_exp),
-                            Bind::Split { x, cur, rest } => CExp::let_proj(
-                                x,
-                                1,
-                                CVal::Var(cur),
-                                CExp::let_proj(rest, 2, CVal::Var(cur), body_exp),
-                            ),
-                        };
-                    }
-                }
-                let code_body = CExp::let_proj(
-                    envv,
-                    1,
-                    CVal::Var(p),
-                    CExp::let_proj(*param, 2, CVal::Var(p), body_exp),
-                );
-                self.lifted.push(CFun {
-                    name: code_name,
-                    param: p,
-                    param_ty: CTy::prod(env_cty.clone(), cc_ty(param_ty)),
-                    body: code_body,
-                });
-                let _ = env_sty;
-                let t = gensym("tenv");
-                Ok(CVal::Pack {
-                    tvar: t,
-                    witness: env_cty,
-                    val: Rc::new(CVal::pair(CVal::FnName(code_name), env_val)),
-                    body_ty: CTy::prod(
-                        CTy::arrow(CTy::prod(CTy::Var(t), cc_ty(param_ty))),
-                        CTy::Var(t),
-                    ),
-                })
-            }
+            } => self.lambda(e, *param, param_ty, body),
             other => Err(CcError(format!(
                 "expression {other:?} in value position violates the CPS invariant"
             ))),
         }
     }
 
-    /// Converts a tail expression.
-    fn tail(&mut self, env: &Env, e: &Expr) -> CResult<CExp> {
-        match e {
-            Expr::Let { x, rhs, body } => {
-                // The rhs is one of the CPS-value forms or a primitive.
-                match &**rhs {
-                    Expr::Bin(op, a, b) => {
-                        let av = self.value(env, a)?;
-                        let bv = self.value(env, b)?;
-                        let mut env2 = env.clone();
-                        env2.vars.insert(*x, (SrcTy::Int, CTy::Int));
-                        Ok(CExp::LetPrim {
-                            x: *x,
-                            op: *op,
-                            a: av,
-                            b: bv,
-                            body: Rc::new(self.tail(&env2, body)?),
-                        })
-                    }
-                    Expr::Proj(i, a) => {
-                        let av = self.value(env, a)?;
-                        let src_ty = self.src_ty_of(env, a)?;
-                        let comp = match src_ty {
-                            SrcTy::Prod(p, q) => {
-                                if *i == 1 {
-                                    (*p).clone()
-                                } else {
-                                    (*q).clone()
-                                }
-                            }
-                            other => {
-                                return Err(CcError(format!("projection of non-pair type {other}")))
-                            }
-                        };
-                        let mut env2 = env.clone();
-                        env2.vars.insert(*x, (comp.clone(), cc_ty(&comp)));
-                        Ok(CExp::let_proj(*x, *i, av, self.tail(&env2, body)?))
-                    }
-                    value_form => {
-                        let v = self.value(env, value_form)?;
-                        let src_ty = self.src_ty_of(env, value_form)?;
-                        let mut env2 = env.clone();
-                        env2.vars.insert(*x, (src_ty.clone(), cc_ty(&src_ty)));
-                        Ok(CExp::let_(*x, v, self.tail(&env2, body)?))
-                    }
+    /// Converts the lambda `lam` into a lifted code block and returns the
+    /// closure package that pairs it with its environment tuple.
+    fn lambda(
+        &mut self,
+        lam: &Expr,
+        param: Symbol,
+        param_ty: &SrcTy,
+        body: &Expr,
+    ) -> CResult<CVal> {
+        let fvs = self
+            .captures
+            .get(&(lam as *const Expr))
+            .cloned()
+            .ok_or_else(|| CcError("lambda missed by the free-variable pass".to_string()))?;
+        let (env_val, env_cty) = self.env_tuple(&fvs)?;
+        // The lifted code block.
+        let code_name = gensym("code");
+        let p = gensym("cp");
+        let envv = gensym("cenv");
+        // Inner scope: captured variables + the parameter.
+        let param_tys = (param_ty.clone(), cc_ty(param_ty));
+        let inner = fvs
+            .iter()
+            .filter_map(|x| Some((*x, self.env.get(x)?.clone())))
+            .chain([(param, param_tys)])
+            .collect();
+        let outer_env = std::mem::replace(&mut self.env, inner);
+        let body_exp = self.tail(body);
+        self.env = outer_env;
+        let mut body_exp = body_exp?;
+        // Destructure the environment tuple (right-nested pairs):
+        // record the binding chain forwards, then wrap the body
+        // innermost-last so each `rest` is in scope for the next.
+        enum Bind {
+            Split {
+                x: Symbol,
+                cur: Symbol,
+                rest: Symbol,
+            },
+            Last {
+                x: Symbol,
+                cur: Symbol,
+            },
+        }
+        if !fvs.is_empty() {
+            let mut cur = envv;
+            let mut chain = Vec::with_capacity(fvs.len());
+            for (i, x) in fvs.iter().enumerate() {
+                if i + 1 == fvs.len() {
+                    chain.push(Bind::Last { x: *x, cur });
+                } else {
+                    let rest = gensym("cenv");
+                    chain.push(Bind::Split { x: *x, cur, rest });
+                    cur = rest;
                 }
             }
-            Expr::App(f, a) => {
-                let fv = self.value(env, f)?;
-                let av = self.value(env, a)?;
-                let pkg = gensym("clo");
-                let pay = gensym("cpair");
-                let code = gensym("cptr");
-                let cenv = gensym("cenv");
-                let arg = gensym("carg");
-                let tv = gensym("topen");
-                // let clo = fv in open clo as ⟨t, p⟩ in
-                //   let code = π1 p in let env = π2 p in
-                //   let arg = (env, av) in code(arg)
-                Ok(CExp::let_(
-                    pkg,
-                    fv,
-                    CExp::Open {
-                        pkg: CVal::Var(pkg),
-                        tvar: tv,
-                        x: pay,
-                        body: Rc::new(CExp::let_proj(
-                            code,
-                            1,
-                            CVal::Var(pay),
-                            CExp::let_proj(
-                                cenv,
-                                2,
-                                CVal::Var(pay),
-                                CExp::let_(
-                                    arg,
-                                    CVal::pair(CVal::Var(cenv), av),
-                                    CExp::App(CVal::Var(code), CVal::Var(arg)),
-                                ),
-                            ),
-                        )),
-                    },
-                ))
+            for b in chain.into_iter().rev() {
+                body_exp = match b {
+                    Bind::Last { x, cur } => CExp::let_(x, CVal::Var(cur), body_exp),
+                    Bind::Split { x, cur, rest } => CExp::let_proj(
+                        x,
+                        1,
+                        CVal::Var(cur),
+                        CExp::let_proj(rest, 2, CVal::Var(cur), body_exp),
+                    ),
+                };
             }
+        }
+        let code_body = CExp::let_proj(
+            envv,
+            1,
+            CVal::Var(p),
+            CExp::let_proj(param, 2, CVal::Var(p), body_exp),
+        );
+        self.lifted.push(CFun {
+            name: code_name,
+            param: p,
+            param_ty: CTy::prod(env_cty.clone(), cc_ty(param_ty)),
+            body: code_body,
+        });
+        let t = gensym("tenv");
+        Ok(CVal::Pack {
+            tvar: t,
+            witness: env_cty,
+            val: Rc::new(CVal::pair(CVal::FnName(code_name), env_val)),
+            body_ty: CTy::prod(
+                CTy::arrow(CTy::prod(CTy::Var(t), cc_ty(param_ty))),
+                CTy::Var(t),
+            ),
+        })
+    }
+
+    /// Converts a tail expression.
+    fn tail(&mut self, e: &Expr) -> CResult<CExp> {
+        match e {
+            Expr::Let { x, rhs, body } => {
+                let (rhs, tys) = self.rhs(rhs)?;
+                let body = self.tail_bound(*x, tys, body)?;
+                Ok(rhs.bind(*x, body))
+            }
+            Expr::App(f, a) => self.call(f, a),
             Expr::If0(c, t, f) => {
-                let cv = self.value(env, c)?;
+                let cv = self.value(c)?;
                 Ok(CExp::If0 {
                     v: cv,
-                    zero: Rc::new(self.tail(env, t)?),
-                    nonzero: Rc::new(self.tail(env, f)?),
+                    zero: Rc::new(self.tail(t)?),
+                    nonzero: Rc::new(self.tail(f)?),
                 })
             }
             // A plain value in tail position is the program's answer.
             Expr::Int(_) | Expr::Var(_) => {
-                let v = self.value(env, e)?;
+                let v = self.value(e)?;
                 Ok(CExp::Halt(v))
             }
             other => Err(CcError(format!(
@@ -351,31 +371,103 @@ impl<'a> Cc<'a> {
         }
     }
 
+    /// Converts a `let` right-hand side (one of the CPS-value forms or a
+    /// primitive) and gives its binder's source and converted types. Kept
+    /// apart from `tail`, like [`Cc::call`], so that `tail`'s frame, which
+    /// recurses along the `let` spine, stays small.
+    fn rhs(&mut self, rhs: &Expr) -> CResult<(Rhs, (SrcTy, CTy))> {
+        match rhs {
+            Expr::Bin(op, a, b) => {
+                let av = self.value(a)?;
+                let bv = self.value(b)?;
+                Ok((Rhs::Prim(*op, av, bv), (SrcTy::Int, CTy::Int)))
+            }
+            Expr::Proj(i, a) => {
+                let av = self.value(a)?;
+                let comp = match self.src_ty_of(a)? {
+                    SrcTy::Prod(p, q) => {
+                        if *i == 1 {
+                            (*p).clone()
+                        } else {
+                            (*q).clone()
+                        }
+                    }
+                    other => return Err(CcError(format!("projection of non-pair type {other}"))),
+                };
+                let cty = cc_ty(&comp);
+                Ok((Rhs::Proj(*i, av), (comp, cty)))
+            }
+            value_form => {
+                let v = self.value(value_form)?;
+                let src_ty = self.src_ty_of(value_form)?;
+                let cty = cc_ty(&src_ty);
+                Ok((Rhs::Val(v), (src_ty, cty)))
+            }
+        }
+    }
+
+    /// Converts the tail call `f a`.
+    fn call(&mut self, f: &Expr, a: &Expr) -> CResult<CExp> {
+        let fv = self.value(f)?;
+        let av = self.value(a)?;
+        let pkg = gensym("clo");
+        let pay = gensym("cpair");
+        let code = gensym("cptr");
+        let cenv = gensym("cenv");
+        let arg = gensym("carg");
+        let tv = gensym("topen");
+        // let clo = fv in open clo as ⟨t, p⟩ in
+        //   let code = π1 p in let env = π2 p in
+        //   let arg = (env, av) in code(arg)
+        Ok(CExp::let_(
+            pkg,
+            fv,
+            CExp::Open {
+                pkg: CVal::Var(pkg),
+                tvar: tv,
+                x: pay,
+                body: Rc::new(CExp::let_proj(
+                    code,
+                    1,
+                    CVal::Var(pay),
+                    CExp::let_proj(
+                        cenv,
+                        2,
+                        CVal::Var(pay),
+                        CExp::let_(
+                            arg,
+                            CVal::pair(CVal::Var(cenv), av),
+                            CExp::App(CVal::Var(code), CVal::Var(arg)),
+                        ),
+                    ),
+                )),
+            },
+        ))
+    }
+
     /// The source type of a CPS-value expression.
-    fn src_ty_of(&mut self, env: &Env, e: &Expr) -> CResult<SrcTy> {
+    fn src_ty_of(&self, e: &Expr) -> CResult<SrcTy> {
         match e {
             Expr::Int(_) => Ok(SrcTy::Int),
-            Expr::Var(x) => env
-                .vars
+            Expr::Var(x) => self
+                .env
                 .get(x)
                 .map(|(s, _)| s.clone())
                 .or_else(|| self.top.get(x).cloned())
                 .ok_or_else(|| CcError(format!("unbound variable {x}"))),
-            Expr::Pair(a, b) => Ok(SrcTy::prod(
-                self.src_ty_of(env, a)?,
-                self.src_ty_of(env, b)?,
-            )),
-            Expr::Lam { param_ty, body, .. } => {
-                // CPS'd lambdas always answer int.
-                let _ = body;
-                Ok(SrcTy::arrow(param_ty.clone(), SrcTy::Int))
-            }
+            Expr::Pair(a, b) => Ok(SrcTy::prod(self.src_ty_of(a)?, self.src_ty_of(b)?)),
+            // CPS'd lambdas always answer int.
+            Expr::Lam { param_ty, .. } => Ok(SrcTy::arrow(param_ty.clone(), SrcTy::Int)),
             other => Err(CcError(format!("no source type for non-value {other:?}"))),
         }
     }
 }
 
 /// Closure-converts a CPS'd program into λCLOS.
+///
+/// Linear in the size of its output: capture lists come from one
+/// free-variable pass and the environment is scoped, not cloned per
+/// binder.
 ///
 /// # Errors
 ///
@@ -384,6 +476,8 @@ pub fn cc_program(p: &SrcProgram) -> CResult<CProgram> {
     let top: HashMap<Symbol, SrcTy> = p.defs.iter().map(|d| (d.name, d.ty())).collect();
     let mut cc = Cc {
         top: &top,
+        captures: FreeVars::program(p, &top),
+        env: ScopedMap::new(),
         lifted: Vec::new(),
     };
     let mut funs = Vec::new();
@@ -391,10 +485,8 @@ pub fn cc_program(p: &SrcProgram) -> CResult<CProgram> {
         // Uniform calling convention: every top-level function takes
         // (dummy-env × converted-parameter).
         let pf = gensym("fp");
-        let mut env = Env::default();
-        env.vars
-            .insert(d.param, (d.param_ty.clone(), cc_ty(&d.param_ty)));
-        let body = cc.tail(&env, &d.body)?;
+        let tys = (d.param_ty.clone(), cc_ty(&d.param_ty));
+        let body = cc.tail_bound(d.param, tys, &d.body)?;
         funs.push(CFun {
             name: d.name,
             param: pf,
@@ -402,7 +494,7 @@ pub fn cc_program(p: &SrcProgram) -> CResult<CProgram> {
             body: CExp::let_proj(d.param, 2, CVal::Var(pf), body),
         });
     }
-    let main = cc.tail(&Env::default(), &p.main)?;
+    let main = cc.tail(&p.main)?;
     funs.extend(cc.lifted);
     Ok(CProgram { funs, main })
 }
@@ -524,6 +616,22 @@ mod tests {
     }
 
     #[test]
+    fn shadowed_and_reused_names() {
+        assert_eq!(
+            pipeline("let x = 5 in let y = (let x = 3 in x) in x + y"),
+            8
+        );
+        assert_eq!(
+            pipeline("let x = 1 in let f = fn (x : int) => x * 10 in f 2 + x"),
+            21
+        );
+        assert_eq!(
+            pipeline("let a = 1 in let f = fn (y : int) => (let a = y in a) + a in f 5"),
+            6
+        );
+    }
+
+    #[test]
     fn cc_ty_shapes() {
         // ⟦int → int⟧ after CPS is ((int × (int→int))→int); converted, the
         // outermost becomes a closure package.
@@ -538,6 +646,8 @@ mod tests {
     fn value_invariant_violation_reported() {
         let mut cc = Cc {
             top: &HashMap::new(),
+            captures: Captures::new(),
+            env: ScopedMap::new(),
             lifted: Vec::new(),
         };
         let bad = Expr::If0(
@@ -545,6 +655,6 @@ mod tests {
             Rc::new(Expr::Int(1)),
             Rc::new(Expr::Int(2)),
         );
-        assert!(cc.value(&Env::default(), &bad).is_err());
+        assert!(cc.value(&bad).is_err());
     }
 }

@@ -36,25 +36,72 @@ pub struct ClosCtx {
     pub gamma: HashMap<Symbol, CTy>,
 }
 
-fn wf(ctx: &ClosCtx, ty: &CTy) -> TResult<()> {
+/// Checks that `ty`'s type variables are in scope: in `theta`, or bound
+/// by an enclosing `∃` of `ty` itself or by the caller (`bound`).
+fn wf(theta: &HashSet<Symbol>, bound: &mut Vec<Symbol>, ty: &CTy) -> TResult<()> {
     match ty {
         CTy::Int => Ok(()),
         CTy::Var(t) => {
-            if ctx.theta.contains(t) {
+            if bound.contains(t) || theta.contains(t) {
                 Ok(())
             } else {
                 Err(ClosTypeError(format!("unbound type variable {t}")))
             }
         }
         CTy::Prod(a, b) => {
-            wf(ctx, a)?;
-            wf(ctx, b)
+            wf(theta, bound, a)?;
+            wf(theta, bound, b)
         }
-        CTy::Arrow(a) => wf(ctx, a),
+        CTy::Arrow(a) => wf(theta, bound, a),
         CTy::Exist(t, body) => {
-            let mut ctx2 = ctx.clone();
-            ctx2.theta.insert(*t);
-            wf(&ctx2, body)
+            bound.push(*t);
+            let r = wf(theta, bound, body);
+            bound.pop();
+            r
+        }
+    }
+}
+
+/// The parts of a context a value's type depends on, borrowed.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    funs: &'a HashMap<Symbol, CTy>,
+    theta: &'a HashSet<Symbol>,
+    gamma: &'a HashMap<Symbol, CTy>,
+}
+
+impl Scope<'_> {
+    fn infer(self, v: &CVal) -> TResult<CTy> {
+        match v {
+            CVal::Int(_) => Ok(CTy::Int),
+            CVal::Var(x) => self
+                .gamma
+                .get(x)
+                .cloned()
+                .ok_or_else(|| ClosTypeError(format!("unbound variable {x}"))),
+            CVal::FnName(f) => self
+                .funs
+                .get(f)
+                .cloned()
+                .ok_or_else(|| ClosTypeError(format!("unknown function {f}"))),
+            CVal::Pair(a, b) => Ok(CTy::prod(self.infer(a)?, self.infer(b)?)),
+            CVal::Pack {
+                tvar,
+                witness,
+                val,
+                body_ty,
+            } => {
+                wf(self.theta, &mut Vec::new(), witness)?;
+                wf(self.theta, &mut vec![*tvar], body_ty)?;
+                let expected = body_ty.subst(*tvar, witness);
+                let got = self.infer(val)?;
+                if !cty_alpha_eq(&got, &expected) {
+                    return Err(ClosTypeError(format!(
+                        "package payload has type {got}, expected {expected}"
+                    )));
+                }
+                Ok(CTy::exist(*tvar, body_ty.clone()))
+            }
         }
     }
 }
@@ -65,39 +112,115 @@ fn wf(ctx: &ClosCtx, ty: &CTy) -> TResult<()> {
 ///
 /// Fails on unbound variables and ill-typed packages.
 pub fn infer_val(ctx: &ClosCtx, v: &CVal) -> TResult<CTy> {
-    match v {
-        CVal::Int(_) => Ok(CTy::Int),
-        CVal::Var(x) => ctx
-            .gamma
-            .get(x)
-            .cloned()
-            .ok_or_else(|| ClosTypeError(format!("unbound variable {x}"))),
-        CVal::FnName(f) => ctx
-            .funs
-            .get(f)
-            .cloned()
-            .ok_or_else(|| ClosTypeError(format!("unknown function {f}"))),
-        CVal::Pair(a, b) => Ok(CTy::prod(infer_val(ctx, a)?, infer_val(ctx, b)?)),
-        CVal::Pack {
-            tvar,
-            witness,
-            val,
-            body_ty,
-        } => {
-            wf(ctx, witness)?;
-            {
-                let mut ctx2 = ctx.clone();
-                ctx2.theta.insert(*tvar);
-                wf(&ctx2, body_ty)?;
+    Scope {
+        funs: &ctx.funs,
+        theta: &ctx.theta,
+        gamma: &ctx.gamma,
+    }
+    .infer(v)
+}
+
+/// The term checker: borrows the `letrec` signatures and extends and
+/// restores `Θ` and `Γ` per binder, so a check is linear in term size.
+struct Checker<'a> {
+    funs: &'a HashMap<Symbol, CTy>,
+    theta: HashSet<Symbol>,
+    gamma: HashMap<Symbol, CTy>,
+}
+
+impl Checker<'_> {
+    fn infer(&self, v: &CVal) -> TResult<CTy> {
+        Scope {
+            funs: self.funs,
+            theta: &self.theta,
+            gamma: &self.gamma,
+        }
+        .infer(v)
+    }
+
+    /// Checks `body` with `x : t` in `Γ`.
+    fn bound(&mut self, x: Symbol, t: CTy, body: &CExp) -> TResult<()> {
+        let shadowed = self.gamma.insert(x, t);
+        let r = self.exp(body);
+        match shadowed {
+            Some(t) => self.gamma.insert(x, t),
+            None => self.gamma.remove(&x),
+        };
+        r
+    }
+
+    fn exp(&mut self, e: &CExp) -> TResult<()> {
+        match e {
+            CExp::Let { x, v, body } => {
+                let t = self.infer(v)?;
+                self.bound(*x, t, body)
             }
-            let expected = body_ty.subst(*tvar, witness);
-            let got = infer_val(ctx, val)?;
-            if !cty_alpha_eq(&got, &expected) {
-                return Err(ClosTypeError(format!(
-                    "package payload has type {got}, expected {expected}"
-                )));
+            CExp::LetProj { x, i, v, body } => match self.infer(v)? {
+                CTy::Prod(a, b) => {
+                    let t = if *i == 1 { (*a).clone() } else { (*b).clone() };
+                    self.bound(*x, t, body)
+                }
+                other => Err(ClosTypeError(format!(
+                    "projection of non-pair type {other}"
+                ))),
+            },
+            CExp::LetPrim { x, a, b, body, .. } => {
+                for (what, v) in [("left", a), ("right", b)] {
+                    match self.infer(v)? {
+                        CTy::Int => {}
+                        other => {
+                            return Err(ClosTypeError(format!(
+                                "{what} operand of primitive has type {other}, expected Int"
+                            )))
+                        }
+                    }
+                }
+                self.bound(*x, CTy::Int, body)
             }
-            Ok(CTy::exist(*tvar, body_ty.clone()))
+            CExp::App(f, a) => match self.infer(f)? {
+                CTy::Arrow(dom) => {
+                    let at = self.infer(a)?;
+                    if cty_alpha_eq(&at, &dom) {
+                        Ok(())
+                    } else {
+                        Err(ClosTypeError(format!(
+                            "argument has type {at}, function expects {dom}"
+                        )))
+                    }
+                }
+                other => Err(ClosTypeError(format!(
+                    "application of non-function type {other}"
+                ))),
+            },
+            CExp::Open { pkg, tvar, x, body } => match self.infer(pkg)? {
+                CTy::Exist(t0, bty) => {
+                    if !self.theta.insert(*tvar) {
+                        return Err(ClosTypeError(format!("open shadows type variable {tvar}")));
+                    }
+                    let r = self.bound(*x, bty.subst(t0, &CTy::Var(*tvar)), body);
+                    self.theta.remove(tvar);
+                    r
+                }
+                other => Err(ClosTypeError(format!(
+                    "open of non-existential type {other}"
+                ))),
+            },
+            CExp::Halt(v) => match self.infer(v)? {
+                CTy::Int => Ok(()),
+                other => Err(ClosTypeError(format!("halt on type {other}, expected Int"))),
+            },
+            CExp::If0 { v, zero, nonzero } => {
+                match self.infer(v)? {
+                    CTy::Int => {}
+                    other => {
+                        return Err(ClosTypeError(format!(
+                            "if0 condition has type {other}, expected Int"
+                        )))
+                    }
+                }
+                self.exp(zero)?;
+                self.exp(nonzero)
+            }
         }
     }
 }
@@ -108,84 +231,12 @@ pub fn infer_val(ctx: &ClosCtx, v: &CVal) -> TResult<CTy> {
 ///
 /// Fails on the first rule violation, with a short description.
 pub fn check_exp(ctx: &ClosCtx, e: &CExp) -> TResult<()> {
-    match e {
-        CExp::Let { x, v, body } => {
-            let t = infer_val(ctx, v)?;
-            let mut ctx2 = ctx.clone();
-            ctx2.gamma.insert(*x, t);
-            check_exp(&ctx2, body)
-        }
-        CExp::LetProj { x, i, v, body } => match infer_val(ctx, v)? {
-            CTy::Prod(a, b) => {
-                let t = if *i == 1 { (*a).clone() } else { (*b).clone() };
-                let mut ctx2 = ctx.clone();
-                ctx2.gamma.insert(*x, t);
-                check_exp(&ctx2, body)
-            }
-            other => Err(ClosTypeError(format!(
-                "projection of non-pair type {other}"
-            ))),
-        },
-        CExp::LetPrim { x, a, b, body, .. } => {
-            for (what, v) in [("left", a), ("right", b)] {
-                match infer_val(ctx, v)? {
-                    CTy::Int => {}
-                    other => {
-                        return Err(ClosTypeError(format!(
-                            "{what} operand of primitive has type {other}, expected Int"
-                        )))
-                    }
-                }
-            }
-            let mut ctx2 = ctx.clone();
-            ctx2.gamma.insert(*x, CTy::Int);
-            check_exp(&ctx2, body)
-        }
-        CExp::App(f, a) => match infer_val(ctx, f)? {
-            CTy::Arrow(dom) => {
-                let at = infer_val(ctx, a)?;
-                if cty_alpha_eq(&at, &dom) {
-                    Ok(())
-                } else {
-                    Err(ClosTypeError(format!(
-                        "argument has type {at}, function expects {dom}"
-                    )))
-                }
-            }
-            other => Err(ClosTypeError(format!(
-                "application of non-function type {other}"
-            ))),
-        },
-        CExp::Open { pkg, tvar, x, body } => match infer_val(ctx, pkg)? {
-            CTy::Exist(t0, bty) => {
-                let mut ctx2 = ctx.clone();
-                if !ctx2.theta.insert(*tvar) {
-                    return Err(ClosTypeError(format!("open shadows type variable {tvar}")));
-                }
-                ctx2.gamma.insert(*x, bty.subst(t0, &CTy::Var(*tvar)));
-                check_exp(&ctx2, body)
-            }
-            other => Err(ClosTypeError(format!(
-                "open of non-existential type {other}"
-            ))),
-        },
-        CExp::Halt(v) => match infer_val(ctx, v)? {
-            CTy::Int => Ok(()),
-            other => Err(ClosTypeError(format!("halt on type {other}, expected Int"))),
-        },
-        CExp::If0 { v, zero, nonzero } => {
-            match infer_val(ctx, v)? {
-                CTy::Int => {}
-                other => {
-                    return Err(ClosTypeError(format!(
-                        "if0 condition has type {other}, expected Int"
-                    )))
-                }
-            }
-            check_exp(ctx, zero)?;
-            check_exp(ctx, nonzero)
-        }
+    Checker {
+        funs: &ctx.funs,
+        theta: ctx.theta.clone(),
+        gamma: ctx.gamma.clone(),
     }
+    .exp(e)
 }
 
 /// Checks a whole program: each function body under its parameter (code is
@@ -202,22 +253,21 @@ pub fn check_program(p: &CProgram) -> TResult<()> {
             return Err(ClosTypeError(format!("duplicate function {}", f.name)));
         }
     }
+    let mut checker = Checker {
+        funs: &funs,
+        theta: HashSet::new(),
+        gamma: HashMap::new(),
+    };
     for f in &p.funs {
-        let mut ctx = ClosCtx {
-            funs: funs.clone(),
-            ..ClosCtx::default()
-        };
-        wf(&ctx, &f.param_ty)
+        wf(&checker.theta, &mut Vec::new(), &f.param_ty)
             .map_err(|e| ClosTypeError(format!("{} (parameter of {})", e.0, f.name)))?;
-        ctx.gamma.insert(f.param, f.param_ty.clone());
-        check_exp(&ctx, &f.body)
+        checker
+            .bound(f.param, f.param_ty.clone(), &f.body)
             .map_err(|e| ClosTypeError(format!("{} (in body of {})", e.0, f.name)))?;
     }
-    let ctx = ClosCtx {
-        funs,
-        ..ClosCtx::default()
-    };
-    check_exp(&ctx, &p.main).map_err(|e| ClosTypeError(format!("{} (in main)", e.0)))
+    checker
+        .exp(&p.main)
+        .map_err(|e| ClosTypeError(format!("{} (in main)", e.0)))
 }
 
 #[cfg(test)]

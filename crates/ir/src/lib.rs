@@ -1,13 +1,16 @@
 //! Shared compiler infrastructure for the Principled Scavenging reproduction.
 //!
-//! This crate provides the two pieces of machinery every calculus in the
-//! workspace needs:
+//! This crate provides the machinery every calculus in the workspace
+//! needs:
 //!
 //! * [`Symbol`] — cheap interned identifiers with a global `gensym` for
 //!   generating fresh binders during CPS conversion, closure conversion and
 //!   capture-avoiding substitution.
 //! * [`doc`] — a small Wadler-style pretty-printing library used to render
 //!   λCLOS and λGC programs in a notation close to the paper's.
+//! * [`ScopedMap`] — a block-structured environment that the front-end
+//!   passes extend and restore per binder, so they stay linear in program
+//!   size.
 //!
 //! # Examples
 //!
@@ -22,8 +25,10 @@
 
 pub mod doc;
 pub mod interner;
+pub mod scope;
 pub mod symbol;
 
 pub use doc::Doc;
 pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher, Interner};
+pub use scope::{ScopedMap, Shadowed};
 pub use symbol::{Symbol, SymbolMap, SymbolSet};

@@ -71,37 +71,47 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Newlines before `pos`: the line of the next token, carried forward
+    /// as the lexer advances.
+    line: usize,
 }
 
 impl<'a> Lexer<'a> {
     fn lex(src: &'a str) -> PResult<Vec<(usize, usize, Tok)>> {
         let mut l = Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
+            line: 0,
         };
         let mut toks = Vec::new();
         loop {
             l.skip_ws();
-            if l.pos >= l.src.len() {
+            let Some(c) = l.byte(l.pos) else {
                 return Ok(toks);
-            }
+            };
             let start = l.pos;
-            let line = src[..start].bytes().filter(|b| *b == b'\n').count();
-            let tok = l.next_tok()?;
-            toks.push((start, line, tok));
+            let tok = l.next_tok(c)?;
+            toks.push((start, l.line, tok));
         }
     }
 
+    fn byte(&self, i: usize) -> Option<u8> {
+        self.src.as_bytes().get(i).copied()
+    }
+
+    /// Skips whitespace and comments, counting the newlines it passes
+    /// (tokens never contain one).
     fn skip_ws(&mut self) {
         loop {
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+            while let Some(b) = self.byte(self.pos).filter(u8::is_ascii_whitespace) {
+                self.line += usize::from(b == b'\n');
                 self.pos += 1;
             }
             // Line comments: `-- ...`.
-            if self.pos + 1 < self.src.len() && &self.src[self.pos..self.pos + 2] == b"--" {
-                while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
+            if self.src.as_bytes()[self.pos..].starts_with(b"--") {
+                while self.byte(self.pos).is_some_and(|b| b != b'\n') {
                     self.pos += 1;
                 }
                 continue;
@@ -110,8 +120,18 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> PResult<Tok> {
-        let c = self.src[self.pos];
+    /// Advances past the run of bytes satisfying `keep` and returns it.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.byte(self.pos).is_some_and(&keep) {
+            self.pos += 1;
+        }
+        // Every caller keeps only ASCII bytes, so both ends are char
+        // boundaries.
+        &self.src[start..self.pos]
+    }
+
+    fn next_tok(&mut self, c: u8) -> PResult<Tok> {
         match c {
             b'(' => {
                 self.pos += 1;
@@ -157,25 +177,15 @@ impl<'a> Lexer<'a> {
             }
             b'0'..=b'9' => {
                 let start = self.pos;
-                while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
+                let text = self.take_while(|b| b.is_ascii_digit());
                 text.parse::<i64>().map(Tok::Int).map_err(|_| ParseError {
                     pos: start,
                     msg: format!("integer literal {text} out of range"),
                 })
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = self.pos;
-                while self.pos < self.src.len()
-                    && (self.src[self.pos].is_ascii_alphanumeric()
-                        || self.src[self.pos] == b'_'
-                        || self.src[self.pos] == b'\'')
-                {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
+                let text =
+                    self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'');
                 Ok(match text {
                     "fun" => Tok::KwFun,
                     "let" => Tok::KwLet,
@@ -198,7 +208,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self, k: usize) -> Option<u8> {
-        self.src.get(self.pos + k).copied()
+        self.byte(self.pos + k)
     }
 }
 

@@ -1,12 +1,15 @@
 //! Typechecker for the source language.
 //!
 //! Synthesis-directed: every binder is annotated, so types are inferred
-//! bottom-up with no unification.
+//! bottom-up with no unification. One scoped environment is extended and
+//! restored per binder, so checking is linear in program size.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 
-use ps_ir::Symbol;
+use ps_ir::{ScopedMap, Symbol};
 
 use crate::syntax::{Expr, SrcProgram, SrcTy};
 
@@ -24,85 +27,179 @@ impl std::error::Error for TypeError {}
 
 type TResult<T> = Result<T, TypeError>;
 
+/// The types of a program's `if0` and `fn` nodes, keyed by node address.
+///
+/// CPS conversion needs a branch's or a body's type before it converts
+/// that subexpression; this table, filled in by one checking pass, answers
+/// without re-walking the subtree.
+#[derive(Debug, Default)]
+pub struct NodeTypes<'p> {
+    /// `None` marks a node shared (through an `Rc`) between positions at
+    /// which it has different types.
+    types: HashMap<*const Expr, Option<SrcTy>>,
+    program: PhantomData<&'p Expr>,
+}
+
+impl NodeTypes<'_> {
+    /// The type of the `if0` or `fn` node `e`, or `None` if `e` was not
+    /// checked or is shared (through an `Rc`) between positions at which
+    /// it has different types.
+    pub fn get(&self, e: &Expr) -> Option<&SrcTy> {
+        self.types.get(&(e as *const Expr)).and_then(Option::as_ref)
+    }
+
+    fn record(&mut self, e: &Expr, ty: &SrcTy) {
+        match self.types.entry(e as *const Expr) {
+            Entry::Vacant(v) => {
+                v.insert(Some(ty.clone()));
+            }
+            Entry::Occupied(mut o) => {
+                if o.get().as_ref() != Some(ty) {
+                    o.insert(None);
+                }
+            }
+        }
+    }
+}
+
+/// The checker's state: the scoped environment, plus the node-type table
+/// when a caller asked for one.
+struct Infer<'p> {
+    env: ScopedMap<SrcTy>,
+    nodes: Option<NodeTypes<'p>>,
+}
+
+impl Infer<'_> {
+    fn infer(&mut self, e: &Expr) -> TResult<SrcTy> {
+        match e {
+            Expr::Int(_) => Ok(SrcTy::Int),
+            Expr::Var(x) => self
+                .env
+                .get(x)
+                .cloned()
+                .ok_or_else(|| TypeError(format!("unbound variable {x}"))),
+            Expr::Bin(op, a, b) => {
+                self.expect(a, &SrcTy::Int, || format!("left operand of {op}"))?;
+                self.expect(b, &SrcTy::Int, || format!("right operand of {op}"))?;
+                Ok(SrcTy::Int)
+            }
+            Expr::If0(c, t, f) => {
+                self.expect(c, &SrcTy::Int, || "if0 condition".to_string())?;
+                let tt = self.infer(t)?;
+                let ft = self.infer(f)?;
+                if tt != ft {
+                    return Err(TypeError(format!(
+                        "if0 branches disagree: {tt} versus {ft}"
+                    )));
+                }
+                self.record(e, &tt);
+                Ok(tt)
+            }
+            Expr::Pair(a, b) => Ok(SrcTy::prod(self.infer(a)?, self.infer(b)?)),
+            Expr::Proj(i, a) => match self.infer(a)? {
+                SrcTy::Prod(x, y) => Ok(if *i == 1 { (*x).clone() } else { (*y).clone() }),
+                other => Err(TypeError(format!("projection of non-pair type {other}"))),
+            },
+            Expr::Lam {
+                param,
+                param_ty,
+                body,
+            } => {
+                let shadowed = self.env.bind(*param, param_ty.clone());
+                let ret = self.infer(body)?;
+                self.env.restore(shadowed);
+                let ty = SrcTy::arrow(param_ty.clone(), ret);
+                self.record(e, &ty);
+                Ok(ty)
+            }
+            Expr::App(f, a) => match self.infer(f)? {
+                SrcTy::Arrow(dom, cod) => {
+                    let at = self.infer(a)?;
+                    if at != *dom {
+                        return Err(TypeError(format!(
+                            "argument type {at} does not match parameter type {dom}"
+                        )));
+                    }
+                    Ok((*cod).clone())
+                }
+                other => Err(TypeError(format!(
+                    "application of non-function type {other}"
+                ))),
+            },
+            Expr::Let { x, rhs, body } => {
+                let rt = self.infer(rhs)?;
+                let shadowed = self.env.bind(*x, rt);
+                let ty = self.infer(body)?;
+                self.env.restore(shadowed);
+                Ok(ty)
+            }
+        }
+    }
+
+    fn expect(&mut self, e: &Expr, want: &SrcTy, what: impl FnOnce() -> String) -> TResult<()> {
+        let got = self.infer(e)?;
+        if &got == want {
+            Ok(())
+        } else {
+            Err(TypeError(format!(
+                "{} has type {got}, expected {want}",
+                what()
+            )))
+        }
+    }
+
+    fn record(&mut self, e: &Expr, ty: &SrcTy) {
+        if let Some(nodes) = &mut self.nodes {
+            nodes.record(e, ty);
+        }
+    }
+
+    /// Checks each definition's body against its declared return type and
+    /// the main expression at type `int`.
+    fn program(&mut self, p: &SrcProgram) -> TResult<()> {
+        let mut names = std::collections::HashSet::new();
+        for d in &p.defs {
+            if !names.insert(d.name) {
+                return Err(TypeError(format!("duplicate function {}", d.name)));
+            }
+            let shadowed = self.env.bind(d.param, d.param_ty.clone());
+            let got = self.infer(&d.body)?;
+            self.env.restore(shadowed);
+            if got != d.ret_ty {
+                return Err(TypeError(format!(
+                    "function {} declares return type {} but its body has type {got}",
+                    d.name, d.ret_ty
+                )));
+            }
+        }
+        self.expect(&p.main, &SrcTy::Int, || "main expression".to_string())
+    }
+}
+
 /// Infers the type of an expression under the given environment.
 ///
 /// # Errors
 ///
 /// Returns a [`TypeError`] naming the mismatch.
 pub fn infer(env: &HashMap<Symbol, SrcTy>, e: &Expr) -> TResult<SrcTy> {
-    match e {
-        Expr::Int(_) => Ok(SrcTy::Int),
-        Expr::Var(x) => env
-            .get(x)
-            .cloned()
-            .ok_or_else(|| TypeError(format!("unbound variable {x}"))),
-        Expr::Bin(op, a, b) => {
-            expect(env, a, &SrcTy::Int, &format!("left operand of {op}"))?;
-            expect(env, b, &SrcTy::Int, &format!("right operand of {op}"))?;
-            Ok(SrcTy::Int)
-        }
-        Expr::If0(c, t, f) => {
-            expect(env, c, &SrcTy::Int, "if0 condition")?;
-            let tt = infer(env, t)?;
-            let ft = infer(env, f)?;
-            if tt != ft {
-                return Err(TypeError(format!(
-                    "if0 branches disagree: {tt} versus {ft}"
-                )));
-            }
-            Ok(tt)
-        }
-        Expr::Pair(a, b) => Ok(SrcTy::prod(infer(env, a)?, infer(env, b)?)),
-        Expr::Proj(i, a) => match infer(env, a)? {
-            SrcTy::Prod(x, y) => Ok(if *i == 1 { (*x).clone() } else { (*y).clone() }),
-            other => Err(TypeError(format!("projection of non-pair type {other}"))),
-        },
-        Expr::Lam {
-            param,
-            param_ty,
-            body,
-        } => {
-            let mut env2 = env.clone();
-            env2.insert(*param, param_ty.clone());
-            let ret = infer(&env2, body)?;
-            Ok(SrcTy::arrow(param_ty.clone(), ret))
-        }
-        Expr::App(f, a) => match infer(env, f)? {
-            SrcTy::Arrow(dom, cod) => {
-                let at = infer(env, a)?;
-                if at != *dom {
-                    return Err(TypeError(format!(
-                        "argument type {at} does not match parameter type {dom}"
-                    )));
-                }
-                Ok((*cod).clone())
-            }
-            other => Err(TypeError(format!(
-                "application of non-function type {other}"
-            ))),
-        },
-        Expr::Let { x, rhs, body } => {
-            let rt = infer(env, rhs)?;
-            let mut env2 = env.clone();
-            env2.insert(*x, rt);
-            infer(&env2, body)
-        }
+    Infer {
+        env: env.iter().map(|(x, t)| (*x, t.clone())).collect(),
+        nodes: None,
     }
-}
-
-fn expect(env: &HashMap<Symbol, SrcTy>, e: &Expr, want: &SrcTy, what: &str) -> TResult<()> {
-    let got = infer(env, e)?;
-    if &got == want {
-        Ok(())
-    } else {
-        Err(TypeError(format!("{what} has type {got}, expected {want}")))
-    }
+    .infer(e)
 }
 
 /// Builds the top-level environment of a program (its function
 /// signatures).
 pub fn top_env(p: &SrcProgram) -> HashMap<Symbol, SrcTy> {
     p.defs.iter().map(|d| (d.name, d.ty())).collect()
+}
+
+fn checker<'p>(p: &SrcProgram, nodes: Option<NodeTypes<'p>>) -> Infer<'p> {
+    Infer {
+        env: top_env(p).into_iter().collect(),
+        nodes,
+    }
 }
 
 /// Checks a whole program: each definition's body against its declared
@@ -112,23 +209,19 @@ pub fn top_env(p: &SrcProgram) -> HashMap<Symbol, SrcTy> {
 ///
 /// Returns the first [`TypeError`] found.
 pub fn check_program(p: &SrcProgram) -> TResult<()> {
-    let top = top_env(p);
-    let mut names = std::collections::HashSet::new();
-    for d in &p.defs {
-        if !names.insert(d.name) {
-            return Err(TypeError(format!("duplicate function {}", d.name)));
-        }
-        let mut env = top.clone();
-        env.insert(d.param, d.param_ty.clone());
-        let got = infer(&env, &d.body)?;
-        if got != d.ret_ty {
-            return Err(TypeError(format!(
-                "function {} declares return type {} but its body has type {got}",
-                d.name, d.ret_ty
-            )));
-        }
-    }
-    expect(&top, &p.main, &SrcTy::Int, "main expression")
+    checker(p, None).program(p)
+}
+
+/// Checks a whole program like [`check_program`] and returns the types of
+/// its `if0` and `fn` nodes.
+///
+/// # Errors
+///
+/// Returns the first [`TypeError`] found.
+pub fn node_types(p: &SrcProgram) -> TResult<NodeTypes<'_>> {
+    let mut c = checker(p, Some(NodeTypes::default()));
+    c.program(p)?;
+    Ok(c.nodes.unwrap_or_default())
 }
 
 #[cfg(test)]

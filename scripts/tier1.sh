@@ -52,9 +52,10 @@ cargo test -q --test disasm_golden
 # emit well-shaped JSON (the full run writes the checked-in BENCH_E17.json).
 scripts/bench.sh --smoke >/dev/null
 cargo clippy --workspace -- -D warnings
-# Panic audit: the language runtime and the collectors must stay free of
+# Panic audit: the language runtime, the collectors and the front end
+# (source language, CPS and closure conversion) must stay free of
 # panicking escape hatches outside tests (clippy.toml relaxes the lints
 # inside #[cfg(test)]).
-cargo clippy -p ps-gc-lang -p ps-collectors -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
+cargo clippy -p ps-gc-lang -p ps-collectors -p ps-lambda -p ps-clos -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
 cargo fmt --check
 echo "tier-1: OK"

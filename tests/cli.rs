@@ -627,3 +627,41 @@ fn certification_thread_count_never_changes_observable_output() {
         );
     }
 }
+
+/// CPS conversion floats a `let` out of the right-hand-side and operand
+/// positions it was written in. A floated binder that reused a name bound
+/// where it lands used to capture that binding: `psgc eval` printed 8 but
+/// `psgc run` printed 6 for the first program, and the pair-typed variant
+/// failed to typecheck (exit 3). Every collector must print eval's answer.
+#[test]
+fn floated_lets_never_capture_an_outer_binding() {
+    let cases = [
+        ("let x = 5 in let y = (let x = 3 in x) in x + y", "8"),
+        (
+            "let x = (5, 6) in let y = (let x = 3 in x) in fst x + y",
+            "8",
+        ),
+        ("(let x = 1 in x) + (let x = 2 in x)", "3"),
+        ("(let x = 1 in fn (z : int) => z + x) (let x = 2 in x)", "3"),
+    ];
+    for (i, (src, want)) in cases.into_iter().enumerate() {
+        let path = scratch(&format!("floated-let-{i}.lam"));
+        std::fs::write(&path, src).expect("write program");
+        let path = path.to_str().unwrap();
+        let eval = psgc(&["eval", path]);
+        assert_eq!(
+            String::from_utf8_lossy(&eval.stdout).trim(),
+            want,
+            "eval {src}"
+        );
+        for c in Collector::ALL {
+            let out = psgc(&["run", path, "--collector", c.name()]);
+            assert_eq!(exit_code(&out), 0, "{c} on {src}: {out:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout).trim(),
+                want,
+                "{c} on {src}"
+            );
+        }
+    }
+}

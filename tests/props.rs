@@ -3,7 +3,9 @@
 //!
 //! The generator is type-directed, so every program typechecks by
 //! construction, and — being pure simply-typed λ-calculus (no `letrec`) —
-//! every program terminates. Each case is run through:
+//! every program terminates. Binders sometimes reuse an earlier name, so
+//! programs shadow bindings (possibly at a different type) and repeat
+//! sibling binders, in `let` right-hand sides and operands alike. Each case is run through:
 //!
 //! * the reference evaluator (the observational oracle),
 //! * the full pipeline under all three certified collectors with a tiny
@@ -25,6 +27,8 @@ use scavenger::Collector;
 struct Tape<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Every binder name drawn so far, in scope or not.
+    names: Vec<Symbol>,
 }
 
 impl<'a> Tape<'a> {
@@ -32,6 +36,21 @@ impl<'a> Tape<'a> {
         let b = self.bytes.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         b
+    }
+
+    /// A binder name: fresh half the time, otherwise one drawn before. A
+    /// reused name may shadow a binding in scope, possibly at a different
+    /// type, or repeat a sibling's binder that is out of scope; both used
+    /// to be miscompiled when CPS conversion floats a `let` out of a
+    /// right-hand-side or operand position.
+    fn binder(&mut self, base: &str) -> Symbol {
+        if !self.names.is_empty() && self.next().is_multiple_of(2) {
+            let i = self.next() as usize % self.names.len();
+            return self.names[i];
+        }
+        let x = gensym(base);
+        self.names.push(x);
+        x
     }
 }
 
@@ -49,11 +68,13 @@ fn gen_ty(tape: &mut Tape, depth: u32) -> SrcTy {
 /// Builds an expression of the requested type under `env`.
 fn gen_expr(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, depth: u32) -> Expr {
     // Prefer a variable of the right type sometimes (and always at the
-    // bottom if one exists).
+    // bottom if one exists). Only the innermost binding of a name is
+    // visible.
     let candidates: Vec<Symbol> = env
         .iter()
-        .filter(|(_, t)| t == ty)
-        .map(|(x, _)| *x)
+        .enumerate()
+        .filter(|(i, (x, t))| t == ty && env[i + 1..].iter().all(|(y, _)| y != x))
+        .map(|(_, (x, _))| *x)
         .collect();
     if !candidates.is_empty() && (depth == 0 || tape.next().is_multiple_of(4)) {
         let i = tape.next() as usize % candidates.len();
@@ -67,7 +88,7 @@ fn gen_expr(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, depth: 
         0 => {
             let xt = gen_ty(tape, depth - 1);
             let rhs = gen_expr(tape, env, &xt, depth - 1);
-            let x = gensym("gx");
+            let x = tape.binder("gx");
             env.push((x, xt));
             let body = gen_expr(tape, env, ty, depth - 1);
             env.pop();
@@ -108,7 +129,7 @@ fn base_case(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy) -> Exp
         SrcTy::Int => Expr::Int((tape.next() as i64) - 128),
         SrcTy::Prod(a, b) => Expr::pair(base_case(tape, env, a), base_case(tape, env, b)),
         SrcTy::Arrow(a, b) => {
-            let x = gensym("gl");
+            let x = tape.binder("gl");
             env.push((x, (**a).clone()));
             let body = base_case(tape, env, b);
             env.pop();
@@ -138,7 +159,7 @@ fn base_case_deep(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, d
             gen_expr(tape, env, b, depth - 1),
         ),
         SrcTy::Arrow(a, b) => {
-            let x = gensym("gl");
+            let x = tape.binder("gl");
             env.push((x, (**a).clone()));
             let body = gen_expr(tape, env, b, depth - 1);
             env.pop();
@@ -152,7 +173,11 @@ fn base_case_deep(tape: &mut Tape, env: &mut Vec<(Symbol, SrcTy)>, ty: &SrcTy, d
 }
 
 fn gen_program(bytes: &[u8]) -> SrcProgram {
-    let mut tape = Tape { bytes, pos: 0 };
+    let mut tape = Tape {
+        bytes,
+        pos: 0,
+        names: Vec::new(),
+    };
     let mut env = Vec::new();
     let main = gen_expr(&mut tape, &mut env, &SrcTy::Int, 4);
     SrcProgram { defs: vec![], main }
