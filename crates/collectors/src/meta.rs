@@ -431,8 +431,8 @@ mod cheney_tests {
                 }
                 let id = ids.len();
                 ids.insert((*nu, *loc), id);
-                let stored = mem.peek(*nu, *loc).expect("live").canonical().into_owned();
-                format!("#{id}={}", shape(mem, &stored, ids))
+                let stored = mem.get(*nu, *loc).expect("live");
+                format!("#{id}={}", shape(mem, stored, ids))
             }
             Value::Addr(..) => "<cd>".to_string(),
             Value::Pair(a, b) => format!("({},{})", shape(mem, a, ids), shape(mem, b, ids)),

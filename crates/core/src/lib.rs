@@ -245,16 +245,6 @@ pub struct RunOptions {
     /// How the periodic heap audit walks the store: incrementally over
     /// dirtied pages (the default) or as a full walk every time.
     pub audit: AuditMode,
-    /// Enable superinstruction fusion in the bytecode backend (on by
-    /// default; the toggle exists for A/B measurement). Ignored by the
-    /// other backends.
-    pub superinstructions: bool,
-    /// Force eager interning of every heap slot at `put` time, disabling
-    /// the lazy ids-or-thunks slot representation (off by default; the
-    /// toggle exists for A/B measurement and the lazy-vs-eager lockstep
-    /// gates). Ignored by the substitution backend, whose values are
-    /// interned by construction.
-    pub eager_intern: bool,
     /// Run under the [`gc_lang::supervisor`]: aborts restore the last good
     /// checkpoint and are triaged by replay on the substitution oracle
     /// (see [`Compiled::supervise`]).
@@ -287,8 +277,6 @@ impl Default for RunOptions {
             max_heap_words: None,
             page_words: MemConfig::default().page_words,
             audit: AuditMode::default(),
-            superinstructions: true,
-            eager_intern: false,
             supervise: false,
             checkpoint_every: 0,
             timeout_ms: None,
@@ -490,19 +478,6 @@ impl RunOptionsBuilder {
     /// Audit strategy for the periodic heap auditor.
     pub fn audit(mut self, mode: AuditMode) -> RunOptionsBuilder {
         self.opts.audit = mode;
-        self
-    }
-
-    /// Enable/disable superinstruction fusion in the bytecode backend.
-    pub fn superinstructions(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.superinstructions = on;
-        self
-    }
-
-    /// Force eager slot interning (disable the lazy ids-or-thunks
-    /// representation) in the env and bytecode backends.
-    pub fn eager_intern(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.eager_intern = on;
         self
     }
 
@@ -737,8 +712,6 @@ impl Compiled {
             0,
             AuditMode::default(),
             &[],
-            true,
-            false,
             0,
             None,
         )
@@ -761,8 +734,6 @@ impl Compiled {
             opts.verify_every,
             opts.audit,
             &opts.inject,
-            opts.superinstructions,
-            opts.eager_intern,
             opts.checkpoint_every,
             opts.timeout_ms,
         )
@@ -783,8 +754,6 @@ impl Compiled {
             opts.verify_every
         };
         spec.audit = opts.audit;
-        spec.superinstructions = opts.superinstructions;
-        spec.eager_intern = opts.eager_intern;
         spec.faults = opts.inject.clone();
         spec.observer = opts.observer.clone();
         spec.step_interval = opts.step_interval;
@@ -808,8 +777,6 @@ impl Compiled {
         verify_every: u64,
         audit: AuditMode,
         inject: &[FaultPlan],
-        superinstructions: bool,
-        eager_intern: bool,
         checkpoint_every: u64,
         timeout_ms: Option<u64>,
     ) -> Result<Run, PipelineError> {
@@ -819,8 +786,6 @@ impl Compiled {
         if let Some(obs) = observer {
             m.set_observer(obs, step_interval);
         }
-        m.set_superinstructions(superinstructions);
-        m.set_eager_intern(eager_intern);
         m.set_verify_every(verify_every);
         m.set_audit_mode(audit);
         m.set_fault_plans(inject);

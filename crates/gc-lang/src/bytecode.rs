@@ -51,9 +51,8 @@
 //!
 //! Both preserve per-rule observability: each micro-op is still one
 //! machine step (`Stats.steps`, `on_step`, audit cadence, fault-injection
-//! points are byte-identical to the substitution oracle). The toggle
-//! ([`BcMachine::set_superinstructions`], `RunOptions.superinstructions`)
-//! exists for A/B measurement.
+//! points are byte-identical to the substitution oracle). Fusion is
+//! always on; E14 measured it at ~10% of bytecode throughput.
 //!
 //! Telemetry hooks, [`Stats`] counters, error messages, and the
 //! [resolved control view](BcMachine::resolved_control) all mirror the
@@ -71,8 +70,7 @@ use ps_ir::{FxBuildHasher, FxHasher, Symbol};
 use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
 use crate::faults::FaultPlan;
 use crate::intern::{
-    intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, LazyChild, SlotVal, TermId,
-    TyId, ValId,
+    intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, TermId, TyId, ValId,
 };
 use crate::machine::{widen_psi, AuditMode, Machine, Outcome, Program, Stats, StepOutcome};
 use crate::memory::{MemConfig, Memory};
@@ -316,8 +314,8 @@ struct Micro {
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 enum Instr {
-    /// A maximal run of consecutive `let`s (length 1 when
-    /// superinstructions are off). Each micro-op is one machine step.
+    /// A maximal run of consecutive `let`s. Each micro-op is one machine
+    /// step.
     Lets(Box<[Micro]>),
     Call {
         f: ValOp,
@@ -444,7 +442,6 @@ struct UnitBuilder {
     ntag: u32,
     nrgn: u32,
     nalpha: u32,
-    superinstructions: bool,
     /// Allocator for [`TyTpl::Sub`] memoization sites.
     ty_sites: u32,
 }
@@ -741,14 +738,12 @@ impl UnitBuilder {
             Op::Proj(i, v) => MicroOp::Proj(*i, self.classify_val(v, scope)),
             Op::Put(rho, v) => {
                 let r = self.classify_rgn(rho, scope);
-                if self.superinstructions {
-                    if let Value::Pair(a, b) = v {
-                        return MicroOp::PutPair(
-                            r,
-                            self.classify_val(a.node(), scope),
-                            self.classify_val(b.node(), scope),
-                        );
-                    }
+                if let Value::Pair(a, b) = v {
+                    return MicroOp::PutPair(
+                        r,
+                        self.classify_val(a.node(), scope),
+                        self.classify_val(b.node(), scope),
+                    );
                 }
                 MicroOp::Put(r, self.classify_val(v, scope))
             }
@@ -777,9 +772,6 @@ impl UnitBuilder {
                         });
                         scope = nsc;
                         t = *body;
-                        if !self.superinstructions {
-                            break;
-                        }
                     }
                     self.push(Instr::Lets(micros.into_boxed_slice()), src0, scope0);
                 }
@@ -1070,11 +1062,8 @@ fn rgn_tpl(rho: &Region, binds: &[Bind]) -> RgnTpl {
 }
 
 /// Compiles the main term (empty initial scope).
-fn compile_main(main: &Term, superinstructions: bool) -> Unit {
-    let mut b = UnitBuilder {
-        superinstructions,
-        ..UnitBuilder::default()
-    };
+fn compile_main(main: &Term) -> Unit {
+    let mut b = UnitBuilder::default();
     b.compile_term(intern_term(main.clone()), NO_SCOPE);
     b.finish("<main>".to_string())
 }
@@ -1082,11 +1071,8 @@ fn compile_main(main: &Term, superinstructions: bool) -> Unit {
 /// Compiles one code block. Parameters take the first slots of each file
 /// (tags `0..`, regions `0..`, values `0..`, in declaration order), which
 /// is what [`BcMachine`]'s call sequence writes.
-fn compile_def(def: &CodeDef, superinstructions: bool) -> Unit {
-    let mut b = UnitBuilder {
-        superinstructions,
-        ..UnitBuilder::default()
-    };
+fn compile_def(def: &CodeDef) -> Unit {
+    let mut b = UnitBuilder::default();
     let mut sc = NO_SCOPE;
     for (t, _) in &def.tvars {
         sc = b.bind(sc, Ns::Tag, *t).0;
@@ -1126,11 +1112,6 @@ pub struct BcMachine {
     checkpoint_every: u64,
     deadline: Option<std::time::Instant>,
     snaps: SnapRing,
-    superinstructions: bool,
-    /// Lazy ids-or-thunks slot representation: when set (the default),
-    /// `put` stores operands whose interned identity is unknown as thunks
-    /// and lets the page store backfill them on first identity demand.
-    lazy: bool,
     cache: Option<Arc<CodeCache>>,
     /// A `TagApp` unfolding materialized last step, to be executed as an
     /// application this step (costs one step, like the other backends).
@@ -1187,8 +1168,7 @@ struct PendingApp {
 
 impl BcMachine {
     /// Loads a program: installs its code blocks in `cd` and schedules the
-    /// main term. Compilation to bytecode happens lazily on the first step
-    /// (so [`BcMachine::set_superinstructions`] can still take effect).
+    /// main term. Compilation to bytecode happens on the first step.
     pub fn load(program: &Program, config: MemConfig) -> BcMachine {
         let mut mem = Memory::new(config);
         for def in &program.code {
@@ -1208,8 +1188,6 @@ impl BcMachine {
             checkpoint_every: 0,
             deadline: None,
             snaps: SnapRing::new(),
-            superinstructions: true,
-            lazy: true,
             cache: None,
             pending: None,
             vals: Vec::new(),
@@ -1379,23 +1357,6 @@ impl BcMachine {
             *id = None;
         }
         Ok(())
-    }
-
-    /// Enables or disables superinstruction fusion. Takes effect only
-    /// before the first step (the flag is baked into the compiled code);
-    /// later calls are ignored.
-    pub fn set_superinstructions(&mut self, on: bool) {
-        if self.stats.steps == 0 && self.superinstructions != on {
-            self.superinstructions = on;
-            self.cache = None;
-            self.ty_cache.clear();
-        }
-    }
-
-    /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
-    /// with eager interning every `put` stores a fully-interned value.
-    pub fn set_eager_intern(&mut self, on: bool) {
-        self.lazy = !on;
     }
 
     /// The dialect this machine runs.
@@ -1599,7 +1560,7 @@ impl BcMachine {
                 self.telem.on_fuel_exhausted(self.stats.steps);
                 break Ok(Outcome::OutOfFuel);
             }
-            if self.pending.is_none() && self.superinstructions {
+            if self.pending.is_none() {
                 if let Instr::Lets(ms) = &cache.units[self.unit as usize].instrs[self.pc as usize] {
                     let end = (ms.len() as u64).min(u64::from(self.sub) + left) as u32;
                     let mut sub = self.sub;
@@ -1713,14 +1674,14 @@ impl BcMachine {
             return;
         }
         let mut cache = CodeCache {
-            units: vec![compile_main(&self.main, self.superinstructions)],
+            units: vec![compile_main(&self.main)],
             by_def: HashMap::default(),
         };
         if let Some(cd) = self.mem.region(CD) {
             for (_, v) in cd.iter() {
-                if let Some(Value::Code(def)) = v.as_val() {
+                if let Value::Code(def) = v {
                     let u = cache.units.len() as u32;
-                    cache.units.push(compile_def(def, self.superinstructions));
+                    cache.units.push(compile_def(def));
                     cache.by_def.insert(Arc::as_ptr(def) as usize, u);
                 }
             }
@@ -1796,7 +1757,7 @@ impl BcMachine {
 
     /// Resolves an operand to an interned id, interning only when the id
     /// is not already known; a register's freshly computed id is
-    /// backfilled into the shadow file.
+    /// recorded in the shadow file.
     fn rvid(&mut self, op: &ValOp) -> ValId {
         if let Some(id) = self.rvid_opt(op) {
             return id;
@@ -2500,7 +2461,7 @@ impl BcMachine {
         if let Some(&u) = cache.by_def.get(&key) {
             return u;
         }
-        let unit = compile_def(def, self.superinstructions);
+        let unit = compile_def(def);
         let c = Arc::make_mut(cache);
         let u = c.units.len() as u32;
         c.units.push(unit);
@@ -2536,19 +2497,13 @@ impl BcMachine {
             }
             MicroOp::Put(r, v) => {
                 let nu = self.rname(r)?;
-                let sv = self.rv_slot(v);
-                Ok((self.do_put(nu, sv)?, None))
+                let v = self.rv(v);
+                Ok((self.do_put(nu, v)?, None))
             }
             MicroOp::PutPair(r, a, b) => {
                 let nu = self.rname(r)?;
-                let sv = if self.lazy {
-                    let ac = self.lazy_operand(a);
-                    let bc = self.lazy_operand(b);
-                    SlotVal::pair(ac, bc)
-                } else {
-                    SlotVal::Val(Value::Pair(self.rvid(a), self.rvid(b)))
-                };
-                Ok((self.do_put(nu, sv)?, None))
+                let v = Value::Pair(self.rvid(a), self.rvid(b));
+                Ok((self.do_put(nu, v)?, None))
             }
             MicroOp::Get(v) => match self.rv(v) {
                 Value::Addr(nu, loc) => Ok((self.mem.get(nu, loc)?.clone(), None)),
@@ -2565,70 +2520,8 @@ impl BcMachine {
         }
     }
 
-    /// Resolves a `put` payload to a slot value: under the lazy
-    /// representation, `Pair`/`Inl`/`Inr` constructor templates store their
-    /// children as ids-or-thunks instead of interning them here.
-    fn rv_slot(&mut self, v: &ValOp) -> SlotVal {
-        if self.lazy {
-            if let ValOp::Build { tpl, .. } = v {
-                match tpl {
-                    VTpl::Pair(a, b) => {
-                        let ac = self.inst_child(a);
-                        let bc = self.inst_child(b);
-                        return SlotVal::pair(ac, bc);
-                    }
-                    VTpl::Inl(x) => {
-                        let c = self.inst_child(x);
-                        return SlotVal::inl(c);
-                    }
-                    VTpl::Inr(x) => {
-                        let c = self.inst_child(x);
-                        return SlotVal::inr(c);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        SlotVal::Val(self.rv(v))
-    }
-
-    /// A `put` operand as a lazy child: interned identity when it is known
-    /// for free (shadow id, pre-interned immediate template), a thunk
-    /// otherwise.
-    fn lazy_operand(&mut self, op: &ValOp) -> LazyChild {
-        if let Some(id) = self.rvid_opt(op) {
-            return LazyChild::interned(id);
-        }
-        if let ValOp::Build { tpl, .. } = op {
-            match tpl {
-                VTpl::ImmId(id) => return LazyChild::interned(*id),
-                VTpl::Reg(i) => {
-                    return match self.val_ids[*i as usize] {
-                        Some(id) => LazyChild::interned(id),
-                        None => LazyChild::thunk(self.vals[*i as usize].clone()),
-                    }
-                }
-                _ => {}
-            }
-        }
-        LazyChild::thunk(self.rv(op))
-    }
-
-    /// Instantiates a child template as a lazy child: `ImmId` and shadowed
-    /// registers keep their known identity, everything else becomes a thunk.
-    fn inst_child(&mut self, t: &VTpl) -> LazyChild {
-        match t {
-            VTpl::ImmId(id) => LazyChild::interned(*id),
-            VTpl::Reg(i) => match self.val_ids[*i as usize] {
-                Some(id) => LazyChild::interned(id),
-                None => LazyChild::thunk(self.vals[*i as usize].clone()),
-            },
-            _ => LazyChild::thunk(self.inst_val(t)),
-        }
-    }
-
-    fn do_put(&mut self, nu: RegionName, sv: SlotVal) -> Result<Value> {
-        let rec = self.mem.put_slot_counted(nu, sv)?;
+    fn do_put(&mut self, nu: RegionName, v: Value) -> Result<Value> {
+        let rec = self.mem.put_counted(nu, v)?;
         self.stats.allocations += 1;
         self.stats.words_allocated += rec.words as u64;
         if let Some(alloc) = rec.page {
@@ -2652,9 +2545,6 @@ impl Machine for BcMachine {
     fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
         BcMachine::set_fault_plans(self, plans);
     }
-    fn set_eager_intern(&mut self, on: bool) {
-        BcMachine::set_eager_intern(self, on);
-    }
     fn pending_faults(&self) -> &[FaultPlan] {
         &self.faults
     }
@@ -2672,9 +2562,6 @@ impl Machine for BcMachine {
     }
     fn restore(&mut self, snap: &Snapshot) -> Result<()> {
         BcMachine::restore(self, snap)
-    }
-    fn set_superinstructions(&mut self, on: bool) {
-        BcMachine::set_superinstructions(self, on);
     }
     fn memory(&self) -> &Memory {
         BcMachine::memory(self)
@@ -2713,16 +2600,15 @@ impl Machine for BcMachine {
 /// the main term, then one unit per code block in installation order.
 /// The output depends only on the program (and the interner's symbol
 /// names), not on any heap or machine state.
-pub fn disassemble(program: &Program, superinstructions: bool) -> String {
-    let mut units = vec![compile_main(&program.main, superinstructions)];
+pub fn disassemble(program: &Program) -> String {
+    let mut units = vec![compile_main(&program.main)];
     for def in &program.code {
-        units.push(compile_def(def, superinstructions));
+        units.push(compile_def(def));
     }
     let mut out = String::new();
     out.push_str(&format!(
-        ";; λGC bytecode — dialect {}, superinstructions {}\n;; {} unit(s)\n",
+        ";; λGC bytecode — dialect {}, superinstructions on\n;; {} unit(s)\n",
         program.dialect,
-        if superinstructions { "on" } else { "off" },
         units.len()
     ));
     for (i, u) in units.iter().enumerate() {
@@ -3003,13 +2889,10 @@ mod tests {
                 body: intern_term(body),
             },
         };
-        for on in [true, false] {
-            let mut m = BcMachine::load(&program, MemConfig::default());
-            m.set_superinstructions(on);
-            assert_eq!(m.run(100).expect("runs"), Outcome::Halted(3));
-            assert_eq!(m.stats().steps, 7, "superinstructions {on}");
-            assert_eq!(m.stats().allocations, 1);
-        }
+        let mut m = BcMachine::load(&program, MemConfig::default());
+        assert_eq!(m.run(100).expect("runs"), Outcome::Halted(3));
+        assert_eq!(m.stats().steps, 7);
+        assert_eq!(m.stats().allocations, 1);
     }
 
     #[test]
@@ -3088,14 +2971,6 @@ mod tests {
     }
 
     #[test]
-    fn superinstruction_toggle_is_ignored_after_first_step() {
-        let mut m = BcMachine::load(&halt_program(1), MemConfig::default());
-        let _ = m.step().expect("steps");
-        m.set_superinstructions(false);
-        assert!(m.superinstructions, "toggle after first step is a no-op");
-    }
-
-    #[test]
     fn disassembly_is_deterministic_and_mentions_superinstructions() {
         let (r, p, q) = (sym("r"), sym("p"), sym("q"));
         let body = Term::let_(
@@ -3111,14 +2986,11 @@ mod tests {
                 body: intern_term(body),
             },
         };
-        let on = disassemble(&program, true);
-        assert_eq!(on, disassemble(&program, true));
-        assert!(on.contains("superinstructions on"), "{on}");
-        assert!(on.contains("put-pair[r0]"), "{on}");
-        assert!(on.contains("let-region -> r0"), "{on}");
-        let off = disassemble(&program, false);
-        assert!(off.contains("superinstructions off"), "{off}");
-        assert!(!off.contains("put-pair"), "{off}");
+        let listing = disassemble(&program);
+        assert_eq!(listing, disassemble(&program));
+        assert!(listing.contains("superinstructions on"), "{listing}");
+        assert!(listing.contains("put-pair[r0]"), "{listing}");
+        assert!(listing.contains("let-region -> r0"), "{listing}");
     }
 
     #[test]

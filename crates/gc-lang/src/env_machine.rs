@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
 use crate::faults::FaultPlan;
-use crate::intern::{intern_term, LazyChild, SlotVal, TermId, ValId};
+use crate::intern::{intern_term, TermId};
 use crate::machine::{widen_psi, AuditMode, Outcome, Program, Stats, StepOutcome};
 use crate::memory::{MemConfig, Memory};
 use crate::snapshot::{SnapRing, Snapshot};
@@ -88,7 +88,6 @@ pub struct EnvMachine {
     checkpoint_every: u64,
     deadline: Option<std::time::Instant>,
     snaps: SnapRing,
-    lazy: bool,
 }
 
 impl EnvMachine {
@@ -114,14 +113,7 @@ impl EnvMachine {
             checkpoint_every: 0,
             deadline: None,
             snaps: SnapRing::new(),
-            lazy: true,
         }
-    }
-
-    /// Disables (or re-enables) the lazy ids-or-thunks slot representation;
-    /// with eager interning every `put` stores a fully-interned value.
-    pub fn set_eager_intern(&mut self, on: bool) {
-        self.lazy = !on;
     }
 
     /// Attaches a telemetry observer; `step_interval > 0` also emits
@@ -639,17 +631,6 @@ impl EnvMachine {
         }
     }
 
-    /// Closes one child of a `put` payload for the lazy slot path: when the
-    /// environment provably leaves `id` untouched its identity is already
-    /// known (no intern probe at all); otherwise the substituted node is
-    /// stored as a thunk whose identity is recovered only on demand.
-    fn lazy_child(&self, id: ValId) -> LazyChild {
-        match self.env.value_id_noop(id) {
-            Some(cid) => LazyChild::interned(cid),
-            None => LazyChild::thunk(self.env.value(id.node())),
-        }
-    }
-
     fn eval_op(&mut self, op: &Op) -> Result<Value> {
         match op {
             Op::Val(v) => Ok(self.env.value(v)),
@@ -659,19 +640,7 @@ impl EnvMachine {
             },
             Op::Put(rho, v) => {
                 let nu = self.resolve_name(rho)?;
-                let sv = if self.lazy {
-                    match v {
-                        Value::Pair(a, b) => {
-                            SlotVal::pair(self.lazy_child(*a), self.lazy_child(*b))
-                        }
-                        Value::Inl(x) => SlotVal::inl(self.lazy_child(*x)),
-                        Value::Inr(x) => SlotVal::inr(self.lazy_child(*x)),
-                        other => SlotVal::Val(self.env.value(other)),
-                    }
-                } else {
-                    SlotVal::Val(self.env.value(v))
-                };
-                let rec = self.mem.put_slot_counted(nu, sv)?;
+                let rec = self.mem.put_counted(nu, self.env.value(v))?;
                 self.stats.allocations += 1;
                 self.stats.words_allocated += rec.words as u64;
                 if let Some(alloc) = rec.page {
@@ -708,9 +677,6 @@ impl crate::machine::Machine for EnvMachine {
     }
     fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
         EnvMachine::set_fault_plans(self, plans);
-    }
-    fn set_eager_intern(&mut self, on: bool) {
-        EnvMachine::set_eager_intern(self, on);
     }
     fn pending_faults(&self) -> &[FaultPlan] {
         &self.faults

@@ -776,194 +776,6 @@ pub(crate) fn note_val_skip() {
     VAL_SKIPS.fetch_add(1, Ordering::Relaxed);
 }
 
-// ----- lazy slot values ---------------------------------------------------
-
-static LAZY_DEFERRED: AtomicU64 = AtomicU64::new(0);
-static LAZY_FORCED: AtomicU64 = AtomicU64::new(0);
-static LAZY_BACKFILLED: AtomicU64 = AtomicU64::new(0);
-static LAZY_SKIPPED: AtomicU64 = AtomicU64::new(0);
-
-fn note_lazy_deferred() {
-    LAZY_DEFERRED.fetch_add(1, Ordering::Relaxed);
-}
-
-fn note_lazy_forced() {
-    LAZY_FORCED.fetch_add(1, Ordering::Relaxed);
-}
-
-fn note_lazy_backfilled() {
-    LAZY_BACKFILLED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records that `n` lazy slots died without ever being forced (their
-/// interning probes were skipped outright).
-pub(crate) fn note_lazy_skipped_n(n: u64) {
-    if n > 0 {
-        LAZY_SKIPPED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// One child position of a lazily-interned heap slot: either an identity
-/// an earlier construction already paid for, or the child's value node
-/// (itself canonical — *its* children are interned) whose hash-cons probe
-/// is being deferred.
-#[derive(Clone, Debug)]
-pub enum LazyChild {
-    /// The identity is already known — nothing was deferred.
-    Id(ValId),
-    /// The identity is not yet known; interning is deferred until the
-    /// slot is forced. The node's own children are interned ids.
-    Thunk(Value),
-}
-
-impl LazyChild {
-    /// A child whose identity is already known (no probe was deferred).
-    pub fn interned(id: ValId) -> LazyChild {
-        LazyChild::Id(id)
-    }
-
-    /// A child whose identity is not yet known; interning it is deferred
-    /// until the slot is forced.
-    pub fn thunk(v: Value) -> LazyChild {
-        LazyChild::Thunk(v)
-    }
-
-    /// The child's value node, without forcing (allocation-free).
-    pub fn value(&self) -> &Value {
-        match self {
-            LazyChild::Id(id) => id.node(),
-            LazyChild::Thunk(v) => v,
-        }
-    }
-
-    /// The known identity, if any.
-    fn id(&self) -> Option<ValId> {
-        match self {
-            LazyChild::Id(id) => Some(*id),
-            LazyChild::Thunk(_) => None,
-        }
-    }
-
-    /// The child's interned identity, paying the deferred probe now if it
-    /// was never paid.
-    pub fn force_id(&self) -> ValId {
-        match self {
-            LazyChild::Id(id) => *id,
-            LazyChild::Thunk(v) => intern_value(v.clone()),
-        }
-    }
-}
-
-/// A heap slot: either an already-canonical [`Value`] (every child id
-/// known) or a thunk whose child identities have not been demanded yet.
-/// Only the hot allocation shapes (`pair`, `inl`, `inr`) have thunk forms;
-/// the cold pack/code shapes stay eager. Slots are forced — interned and
-/// replaced by their canonical form — on first *identity demand*; see
-/// [`crate::memory::Memory::get`].
-#[derive(Clone, Debug)]
-pub enum SlotVal {
-    /// A canonical value: all identities known.
-    Val(Value),
-    /// An uninterned pair node.
-    LazyPair(Box<(LazyChild, LazyChild)>),
-    /// An uninterned left-injection node.
-    LazyInl(Box<LazyChild>),
-    /// An uninterned right-injection node.
-    LazyInr(Box<LazyChild>),
-}
-
-impl SlotVal {
-    /// A pair slot; canonical immediately when both child ids are known
-    /// (no probe to defer), a thunk otherwise.
-    pub fn pair(a: LazyChild, b: LazyChild) -> SlotVal {
-        match (a.id(), b.id()) {
-            (Some(x), Some(y)) => SlotVal::Val(Value::Pair(x, y)),
-            _ => {
-                note_lazy_deferred();
-                SlotVal::LazyPair(Box::new((a, b)))
-            }
-        }
-    }
-
-    /// A left-injection slot; canonical when the child id is known.
-    pub fn inl(x: LazyChild) -> SlotVal {
-        match x.id() {
-            Some(i) => SlotVal::Val(Value::Inl(i)),
-            None => {
-                note_lazy_deferred();
-                SlotVal::LazyInl(Box::new(x))
-            }
-        }
-    }
-
-    /// A right-injection slot; canonical when the child id is known.
-    pub fn inr(x: LazyChild) -> SlotVal {
-        match x.id() {
-            Some(i) => SlotVal::Val(Value::Inr(i)),
-            None => {
-                note_lazy_deferred();
-                SlotVal::LazyInr(Box::new(x))
-            }
-        }
-    }
-
-    /// Is this slot still a thunk (some child identity unknown)?
-    pub fn is_lazy(&self) -> bool {
-        !matches!(self, SlotVal::Val(_))
-    }
-
-    /// The canonical value, without forcing: `None` while the slot is a
-    /// thunk.
-    pub fn as_val(&self) -> Option<&Value> {
-        match self {
-            SlotVal::Val(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Forces the slot into its canonical value (paying the deferred
-    /// interning probes). Counted; callers use [`SlotVal::canonical`].
-    fn force(&self) -> Value {
-        note_lazy_forced();
-        match self {
-            SlotVal::Val(v) => v.clone(),
-            SlotVal::LazyPair(c) => Value::Pair(c.0.force_id(), c.1.force_id()),
-            SlotVal::LazyInl(c) => Value::Inl(c.force_id()),
-            SlotVal::LazyInr(c) => Value::Inr(c.force_id()),
-        }
-    }
-
-    /// The canonical value: borrowed when already canonical, forced (and
-    /// interned) otherwise. The slot itself is left as-is; in-place
-    /// replacement is [`SlotVal::backfill`].
-    pub fn canonical(&self) -> std::borrow::Cow<'_, Value> {
-        match self {
-            SlotVal::Val(v) => std::borrow::Cow::Borrowed(v),
-            _ => std::borrow::Cow::Owned(self.force()),
-        }
-    }
-
-    /// Forces a thunk and replaces it in place with its canonical form, so
-    /// each slot pays its interning probes at most once. No-op on a
-    /// canonical slot.
-    pub fn backfill(&mut self) {
-        if self.is_lazy() {
-            let v = self.force();
-            note_lazy_backfilled();
-            *self = SlotVal::Val(v);
-        }
-    }
-}
-
-impl PartialEq for SlotVal {
-    fn eq(&self, other: &SlotVal) -> bool {
-        match (self, other) {
-            (SlotVal::Val(a), SlotVal::Val(b)) => a == b,
-            _ => *self.canonical() == *other.canonical(),
-        }
-    }
-}
-
 // ----- α-canonicalization -------------------------------------------------
 
 static DB_TAG: RwLock<Vec<Symbol>> = RwLock::new(Vec::new());
@@ -1259,15 +1071,6 @@ pub struct InternStats {
     pub term_skips: u64,
     /// Value substitutions skipped whole by fingerprint.
     pub val_skips: u64,
-    /// Heap slots stored as thunks (interning probes deferred at put).
-    pub lazy_deferred: u64,
-    /// Thunk slots forced into canonical form by an identity demand.
-    pub lazy_forced: u64,
-    /// Forced slots backfilled in place (each pays its probes at most once).
-    pub lazy_backfilled: u64,
-    /// Thunk slots that died (freed or overwritten) without ever being
-    /// forced: interning probes skipped outright.
-    pub lazy_skipped: u64,
 }
 
 /// A snapshot of the global interner and memo-table occupancy.
@@ -1295,10 +1098,6 @@ pub fn stats() -> InternStats {
         val_fv: memo_len(&VAL_FV),
         term_skips: TERM_SKIPS.load(Ordering::Relaxed),
         val_skips: VAL_SKIPS.load(Ordering::Relaxed),
-        lazy_deferred: LAZY_DEFERRED.load(Ordering::Relaxed),
-        lazy_forced: LAZY_FORCED.load(Ordering::Relaxed),
-        lazy_backfilled: LAZY_BACKFILLED.load(Ordering::Relaxed),
-        lazy_skipped: LAZY_SKIPPED.load(Ordering::Relaxed),
     }
 }
 
@@ -1333,11 +1132,7 @@ impl fmt::Display for InternStats {
         writeln!(f, "term fv memo   {:>10}", self.term_fv)?;
         writeln!(f, "val fv memo    {:>10}", self.val_fv)?;
         writeln!(f, "term skips     {:>10}", self.term_skips)?;
-        writeln!(f, "val skips      {:>10}", self.val_skips)?;
-        writeln!(f, "lazy deferred  {:>10}", self.lazy_deferred)?;
-        writeln!(f, "lazy forced    {:>10}", self.lazy_forced)?;
-        writeln!(f, "lazy backfill  {:>10}", self.lazy_backfilled)?;
-        write!(f, "lazy skipped   {:>10}", self.lazy_skipped)
+        write!(f, "val skips      {:>10}", self.val_skips)
     }
 }
 

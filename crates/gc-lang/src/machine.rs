@@ -342,16 +342,6 @@ pub trait Machine {
     /// under a different dialect.
     fn restore(&mut self, snap: &Snapshot) -> Result<()>;
 
-    /// Toggles superinstruction fusion (bytecode backend only; the other
-    /// backends ignore this). Must be called before the first step.
-    fn set_superinstructions(&mut self, _on: bool) {}
-
-    /// Forces eager interning of every heap slot at `put` time, disabling
-    /// the lazy ids-or-thunks representation. The substitution oracle
-    /// ignores this: its values are interned by construction. Must be
-    /// called before the first step.
-    fn set_eager_intern(&mut self, _on: bool) {}
-
     /// The machine's memory.
     fn memory(&self) -> &Memory;
 

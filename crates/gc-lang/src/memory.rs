@@ -51,7 +51,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::error::{mem_err, oom_err, Result};
-use crate::intern::SlotVal;
 use crate::syntax::{RegionName, Ty, Value, CD};
 
 /// How budgets for freshly allocated regions are chosen.
@@ -102,10 +101,17 @@ pub struct MemConfig {
     /// [`crate::error::ErrorKind::OutOfMemory`] error once allocating a
     /// fresh page would exceed the cap; `None` means unbounded.
     pub max_heap_words: Option<usize>,
-    /// Page size in words. Normalized to a power of two (≥ 1) by
-    /// [`Memory::new`]. The default, 512 words × 8 bytes, is a 4KB page.
+    /// Page size in words. Normalized to a power of two (≥ 1) and clamped
+    /// to [`MAX_PAGE_WORDS`] by [`Memory::new`]. The default, 512 words ×
+    /// 8 bytes, is a 4KB page.
     pub page_words: usize,
 }
+
+/// The largest page size, in words, that [`Memory::new`] accepts (2²⁰, an
+/// 8 MiB page). Offsets pack `ordinal << log₂(page_words) | slot` into a
+/// `u32`, so an unbounded page size would overflow the packing; pages are
+/// also reserved eagerly, so a huge one would exhaust the host first.
+pub const MAX_PAGE_WORDS: usize = 1 << 20;
 
 impl Default for MemConfig {
     fn default() -> Self {
@@ -144,7 +150,7 @@ struct Page {
     /// Reserved words: `page_words`, or a rounded-up multiple for a large
     /// page. Drives exact `max_heap_words` accounting.
     footprint: usize,
-    slots: Vec<SlotVal>,
+    slots: Vec<Value>,
     /// Per-slot size memo: `value_words` of each slot *at put time* (its
     /// `Υ`-assigned size). Never updated by `set`, so the incremental
     /// auditor can recount one dirty slot against its memo instead of
@@ -152,14 +158,11 @@ struct Page {
     sizes: Vec<u32>,
     /// Per-slot dirty bitmap, cleared when the auditor acknowledges a pass.
     dirty: Vec<u64>,
-    /// Per-slot "pristine" bitmap: set at put time, cleared by `set` (and
-    /// only by `set` — a lazy-force backfill keeps it). A pristine slot
-    /// still holds exactly the value whose type `put` inferred into `Ψ`, so
-    /// the incremental auditor can skip re-synthesizing it.
+    /// Per-slot "pristine" bitmap: set at put time, cleared only by `set`.
+    /// A pristine slot still holds exactly the value whose type `put`
+    /// inferred into `Ψ`, so the incremental auditor can skip
+    /// re-synthesizing it.
     pristine: Vec<u64>,
-    /// Number of slots currently stored as unforced thunks, so a page free
-    /// can bulk-report skipped interning probes in O(1).
-    lazy_count: u32,
     /// Is this page currently enrolled in the memory-wide dirty set?
     in_dirty: bool,
 }
@@ -306,7 +309,7 @@ pub struct RegionIter<'a> {
 }
 
 enum IterInner<'a> {
-    Code(std::iter::Enumerate<std::slice::Iter<'a, SlotVal>>),
+    Code(std::iter::Enumerate<std::slice::Iter<'a, Value>>),
     Data {
         mem: &'a Memory,
         pages: &'a [u32],
@@ -316,7 +319,7 @@ enum IterInner<'a> {
 }
 
 impl<'a> Iterator for RegionIter<'a> {
-    type Item = (u32, &'a SlotVal);
+    type Item = (u32, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.inner {
@@ -405,7 +408,7 @@ impl<'a> PageView<'a> {
     }
 
     /// The slot value at index `i`, if populated.
-    pub fn slot(&self, i: usize) -> Option<&'a SlotVal> {
+    pub fn slot(&self, i: usize) -> Option<&'a Value> {
         self.page.slots.get(i)
     }
 
@@ -422,7 +425,7 @@ impl<'a> PageView<'a> {
     }
 
     /// Iterates over the populated slots.
-    pub fn slots(&self) -> impl Iterator<Item = &'a SlotVal> {
+    pub fn slots(&self) -> impl Iterator<Item = &'a Value> {
         self.page.slots.iter()
     }
 
@@ -502,17 +505,6 @@ pub fn value_words(v: &Value) -> usize {
     }
 }
 
-/// The size in words of a stored slot, computed *without* forcing: a
-/// thunk's children are canonical nodes, so the sum equals
-/// [`value_words`] of the forced form by construction.
-pub fn slot_words(sv: &SlotVal) -> usize {
-    match sv {
-        SlotVal::Val(v) => value_words(v),
-        SlotVal::LazyPair(c) => value_words(c.0.value()) + value_words(c.1.value()),
-        SlotVal::LazyInl(c) | SlotVal::LazyInr(c) => value_words(c.value()),
-    }
-}
-
 /// The result of an `only ∆` reclamation, recorded for statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReclaimReport {
@@ -558,9 +550,8 @@ pub struct Memory {
     /// the ordered-map semantics telemetry and audits rely on.
     regions: Vec<Option<RegionData>>,
     /// The code region, dense: immortal, bump-allocated at load time, read
-    /// on every `app` step, so it bypasses the page store. Entries are
-    /// always the canonical [`SlotVal::Val`] arm — code is never lazy.
-    code: Vec<SlotVal>,
+    /// on every `app` step, so it bypasses the page store.
+    code: Vec<Value>,
     code_words: usize,
     /// The page store. `pages[id]` is `Some` while page `id` is live; freed
     /// ids are recycled through `free_pages`. Pages sit behind `Arc` so a
@@ -602,9 +593,13 @@ pub struct Memory {
 
 impl Memory {
     /// Creates an empty memory containing only the code region. The
-    /// configured `page_words` is normalized to a power of two ≥ 1.
+    /// configured `page_words` is normalized to a power of two in
+    /// `1..=`[`MAX_PAGE_WORDS`].
     pub fn new(mut config: MemConfig) -> Memory {
-        config.page_words = config.page_words.max(1).next_power_of_two();
+        config.page_words = config
+            .page_words
+            .clamp(1, MAX_PAGE_WORDS)
+            .next_power_of_two();
         let slot_bits = config.page_words.trailing_zeros();
         let mut psi = BTreeMap::new();
         psi.insert(CD, BTreeMap::new());
@@ -643,7 +638,7 @@ impl Memory {
     pub fn install_code(&mut self, code: Value, ty: Ty) -> u32 {
         let loc = self.code.len() as u32;
         self.code_words += value_words(&code);
-        self.code.push(SlotVal::Val(code));
+        self.code.push(code);
         self.psi.entry(CD).or_default().insert(loc, ty);
         loc
     }
@@ -698,24 +693,11 @@ impl Memory {
     ///
     /// As [`Memory::put`].
     pub fn put_counted(&mut self, nu: RegionName, v: Value) -> Result<PutRecord> {
-        self.put_slot_counted(nu, SlotVal::Val(v))
-    }
-
-    /// Like [`Memory::put_counted`], but stores a [`SlotVal`] directly, so
-    /// allocation paths can defer the interning of freshly built pairs and
-    /// injections ([`SlotVal::pair`]/[`SlotVal::inl`]/[`SlotVal::inr`]).
-    /// Word accounting and `Ψ` inference read the uninterned nodes; both
-    /// agree exactly with the forced form.
-    ///
-    /// # Errors
-    ///
-    /// As [`Memory::put`].
-    pub fn put_slot_counted(&mut self, nu: RegionName, sv: SlotVal) -> Result<PutRecord> {
         if nu.is_cd() {
             return Err(mem_err("cannot put into the code region"));
         }
         let inferred = if self.config.track_types {
-            Some(self.infer_slot_ty(&sv)?)
+            Some(self.infer_stored_ty(&v)?)
         } else {
             None
         };
@@ -723,7 +705,7 @@ impl Memory {
         if self.regions.get(ridx).and_then(Option::as_ref).is_none() {
             return Err(mem_err(format!("put into missing region {nu}")));
         }
-        let words = slot_words(&sv);
+        let words = value_words(&v);
         let (class, capacity, footprint) = class_shape(words, self.config.page_words);
 
         // Probe the region's open page for this size class.
@@ -772,7 +754,6 @@ impl Memory {
                     sizes: Vec::with_capacity(capacity as usize),
                     dirty: vec![0; (capacity as usize).div_ceil(BITMAP_WORD_BITS)],
                     pristine: vec![0; (capacity as usize).div_ceil(BITMAP_WORD_BITS)],
-                    lazy_count: 0,
                     in_dirty: false,
                 };
                 let pid = match self.free_pages.pop() {
@@ -809,7 +790,6 @@ impl Memory {
 
         let mut slot = 0u32;
         let mut newly_dirty = false;
-        let lazy = sv.is_lazy();
         if let Some(page) = self
             .pages
             .get_mut(pid as usize)
@@ -817,11 +797,8 @@ impl Memory {
             .map(Arc::make_mut)
         {
             slot = page.slots.len() as u32;
-            page.slots.push(sv);
+            page.slots.push(v);
             page.sizes.push(words as u32);
-            if lazy {
-                page.lazy_count += 1;
-            }
             page.occupancy = page.occupancy.wrapping_add(1);
             page.live_words += words;
             page.set_pristine(slot as usize);
@@ -847,79 +824,13 @@ impl Memory {
     }
 
     /// Reads the value at `ν.ℓ`, resolving through the page headers in
-    /// O(1). A read is an *identity demand*: if the slot is still a thunk
-    /// it is forced — its deferred interning probes are paid — and
-    /// backfilled in place with its canonical form (marking the slot
-    /// dirty), so each slot is interned at most once. Use
-    /// [`Memory::peek`] for a forcing-free read.
+    /// O(1). Reads never write, so a page shared with a checkpoint image
+    /// stays shared.
     ///
     /// # Errors
     ///
     /// Fails on dangling addresses (reclaimed region or bad offset).
-    pub fn get(&mut self, nu: RegionName, loc: u32) -> Result<&Value> {
-        if nu.is_cd() {
-            return self
-                .code
-                .get(loc as usize)
-                .and_then(SlotVal::as_val)
-                .ok_or_else(|| mem_err(format!("get from bad offset {nu}.{loc}")));
-        }
-        let region = self
-            .regions
-            .get(nu.0 as usize)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| mem_err(format!("get from reclaimed region {nu}")))?;
-        let ordinal = (loc >> self.slot_bits) as usize;
-        let slot = (loc as usize) & (self.config.page_words - 1);
-        let pid = *region
-            .pages
-            .get(ordinal)
-            .ok_or_else(|| mem_err(format!("get from bad offset {nu}.{loc}")))?;
-        let lazy = self
-            .pages
-            .get(pid as usize)
-            .and_then(Option::as_ref)
-            .and_then(|p| p.slots.get(slot))
-            .map(SlotVal::is_lazy)
-            .ok_or_else(|| mem_err(format!("get from bad offset {nu}.{loc}")))?;
-        if lazy {
-            // Backfilling is observationally invisible — the canonical
-            // value, its word count, its inferred type, and its outgoing
-            // pointers are all unchanged — so the slot is deliberately NOT
-            // dirty-marked: the auditor already vetted it when the put
-            // dirtied it, and re-queuing every forced slot would charge
-            // the incremental audit for reads.
-            if let Some(page) = self
-                .pages
-                .get_mut(pid as usize)
-                .and_then(Option::as_mut)
-                .map(Arc::make_mut)
-            {
-                if let Some(stored) = page.slots.get_mut(slot) {
-                    stored.backfill();
-                }
-                page.lazy_count = page.lazy_count.saturating_sub(1);
-            }
-        }
-        self.pages
-            .get(pid as usize)
-            .and_then(Option::as_ref)
-            .and_then(|p| p.slots.get(slot))
-            .and_then(SlotVal::as_val)
-            .ok_or_else(|| mem_err(format!("get from bad offset {nu}.{loc}")))
-    }
-
-    /// Reads the slot at `ν.ℓ` without forcing: a thunk stays a thunk.
-    /// Observational machinery (auditor, supervisor, well-formedness
-    /// checker) reads through this so a verification pass cannot perturb
-    /// the interning counters. Error messages are identical to
-    /// [`Memory::get`]'s, so audit verdicts don't depend on which path
-    /// probed a dangling address.
-    ///
-    /// # Errors
-    ///
-    /// Fails on dangling addresses (reclaimed region or bad offset).
-    pub fn peek(&self, nu: RegionName, loc: u32) -> Result<&SlotVal> {
+    pub fn get(&self, nu: RegionName, loc: u32) -> Result<&Value> {
         if nu.is_cd() {
             return self
                 .code
@@ -974,13 +885,7 @@ impl Memory {
             .slots
             .get_mut(slot)
             .ok_or_else(|| mem_err(format!("set at bad offset {nu}.{loc}")))?;
-        let was_lazy = stored.is_lazy();
-        *stored = SlotVal::Val(v);
-        if was_lazy {
-            // The thunk died unforced: its interning probes were never paid.
-            crate::intern::note_lazy_skipped_n(1);
-            page.lazy_count = page.lazy_count.saturating_sub(1);
-        }
+        *stored = v;
         page.clear_pristine(slot);
         if page.mark_slot_dirty(slot) {
             self.dirty.insert(pid);
@@ -1045,8 +950,6 @@ impl Memory {
         let Some(page) = self.pages.get_mut(pid as usize).and_then(Option::take) else {
             return 0;
         };
-        // Thunks that die with their page never pay their interning probes.
-        crate::intern::note_lazy_skipped_n(u64::from(page.lazy_count));
         self.free_pages.push(pid);
         self.dirty.remove(&pid);
         self.reserved_words -= page.footprint;
@@ -1359,26 +1262,6 @@ impl Memory {
             Value::Inr(x) => Ok(Ty::Right(self.infer_stored_ty(x)?.id())),
         }
     }
-
-    /// [`Memory::infer_stored_ty`] for either arm of a slot: thunks are
-    /// typed from their uninterned child nodes without forcing, and the
-    /// result equals what the forced form would infer (inference is
-    /// structural and the children are canonical).
-    ///
-    /// # Errors
-    ///
-    /// As [`Memory::infer_stored_ty`].
-    pub fn infer_slot_ty(&self, sv: &SlotVal) -> Result<Ty> {
-        match sv {
-            SlotVal::Val(v) => self.infer_stored_ty(v),
-            SlotVal::LazyPair(c) => Ok(Ty::prod(
-                self.infer_stored_ty(c.0.value())?,
-                self.infer_stored_ty(c.1.value())?,
-            )),
-            SlotVal::LazyInl(c) => Ok(Ty::Left(self.infer_stored_ty(c.value())?.id())),
-            SlotVal::LazyInr(c) => Ok(Ty::Right(self.infer_stored_ty(c.value())?.id())),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1598,6 +1481,8 @@ mod tests {
         assert_eq!(m.config().page_words, 8);
         let m = paged(0, None);
         assert_eq!(m.config().page_words, 1);
+        let m = paged((1 << 33) + 1, None);
+        assert_eq!(m.config().page_words, MAX_PAGE_WORDS, "clamped");
     }
 
     #[test]
@@ -1783,39 +1668,11 @@ mod tests {
         assert_eq!(page.footprint(), 8);
         assert_eq!(page.loc_of(0), loc);
         assert_eq!(
-            page.slot(0).and_then(SlotVal::as_val),
+            page.slot(0),
             Some(&Value::pair(Value::Int(1), Value::Int(2)))
         );
         assert_eq!(page.slot_size(0), Some(2));
         assert!(page.is_pristine(0));
-    }
-
-    #[test]
-    fn lazy_slots_force_on_get_and_backfill_once() {
-        use crate::intern::LazyChild;
-        let mut m = paged(8, None);
-        let r = m.alloc_region();
-        let sv = SlotVal::pair(
-            LazyChild::thunk(Value::Int(41)),
-            LazyChild::thunk(Value::Int(42)),
-        );
-        assert!(sv.is_lazy());
-        assert_eq!(slot_words(&sv), 2);
-        let rec = m.put_slot_counted(r, sv).unwrap();
-        assert_eq!(rec.words, 2);
-        // A peek does not force…
-        assert!(m.peek(r, rec.loc).unwrap().is_lazy());
-        // …a get does, and backfills the canonical form in place.
-        assert_eq!(
-            m.get(r, rec.loc).unwrap(),
-            &Value::pair(Value::Int(41), Value::Int(42))
-        );
-        assert!(!m.peek(r, rec.loc).unwrap().is_lazy());
-        // Forcing keeps the slot pristine (its contents are unchanged).
-        let pid = m.live_page_ids()[0];
-        assert!(m.page(pid).unwrap().is_pristine(0));
-        // Word accounting never depended on forcing.
-        assert_eq!(m.region(r).unwrap().words(), 2);
     }
 
     #[test]

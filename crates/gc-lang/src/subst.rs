@@ -564,22 +564,6 @@ impl Subst {
         intern_value(self.value(id.node()))
     }
 
-    /// The no-op half of [`Self::value_id`]: `Some(id)` when the
-    /// substitution provably leaves `id` untouched (empty domain or a
-    /// fingerprint miss), `None` when a real rewrite — and hence a fresh
-    /// intern — would be needed. Lazy allocation paths use this to keep an
-    /// existing identity without paying for a new one.
-    pub fn value_id_noop(&self, id: ValId) -> Option<ValId> {
-        if self.is_empty() {
-            return Some(id);
-        }
-        if self.misses(intern::value_fv(id)) {
-            intern::note_val_skip();
-            return Some(id);
-        }
-        None
-    }
-
     /// Applies the substitution to a code definition (respecting its own
     /// binders).
     pub fn code_def(&self, def: &CodeDef) -> CodeDef {

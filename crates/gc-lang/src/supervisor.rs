@@ -50,11 +50,6 @@ pub struct SuperviseSpec {
     pub verify_every: u64,
     /// How those audits walk the heap.
     pub audit: AuditMode,
-    /// Superinstruction fusion (bytecode backend only).
-    pub superinstructions: bool,
-    /// Force eager slot interning — disable the lazy ids-or-thunks
-    /// representation (env and bytecode backends).
-    pub eager_intern: bool,
     /// Fault plans to arm (the adversarial harness).
     pub faults: Vec<FaultPlan>,
     /// Telemetry observer for the first attempt. Restarted attempts do
@@ -84,8 +79,6 @@ impl SuperviseSpec {
             fuel,
             verify_every: 64,
             audit: AuditMode::default(),
-            superinstructions: true,
-            eager_intern: false,
             faults: Vec::new(),
             observer: None,
             step_interval: 0,
@@ -180,8 +173,6 @@ pub fn supervise(program: &Program, spec: &SuperviseSpec) -> SupervisedRun {
     let mut resume: Option<Snapshot> = None;
     loop {
         let mut m = spec.backend.load(program, spec.config);
-        m.set_superinstructions(spec.superinstructions);
-        m.set_eager_intern(spec.eager_intern);
         m.set_verify_every(spec.verify_every);
         m.set_audit_mode(spec.audit);
         m.set_checkpoint_every(spec.checkpoint_every);
@@ -443,15 +434,12 @@ fn classify(
             (Some(a), Some(b)) => (a, b),
             _ => continue,
         };
-        let new: std::collections::HashMap<u32, &crate::intern::SlotVal> = qr.iter().collect();
+        let new: std::collections::HashMap<u32, &Value> = qr.iter().collect();
         for (loc, old) in pr.iter() {
-            let Some(newv) = new.get(&loc) else { continue };
-            if **newv == *old {
-                continue;
+            let Some(&newv) = new.get(&loc) else { continue };
+            if newv != old {
+                return classify_slot(old, newv, post);
             }
-            let oldc = old.canonical();
-            let newc = newv.canonical();
-            return classify_slot(&oldc, &newc, post);
         }
     }
     None
@@ -464,7 +452,7 @@ fn classify_slot(old: &Value, new: &Value, post: &Memory) -> Option<FaultKind> {
             Some(FaultKind::FlipTag)
         }
         (Value::Pair(a, _), _) if **a == *new => Some(FaultKind::TruncateTuple),
-        (Value::Inr(_), Value::Inr(b)) if matches!(&**b, Value::Addr(nu, loc) if post.peek(*nu, *loc).is_err()) => {
+        (Value::Inr(_), Value::Inr(b)) if matches!(&**b, Value::Addr(nu, loc) if post.get(*nu, *loc).is_err()) => {
             Some(FaultKind::ClobberForward)
         }
         _ if has_dangling(post, new) => Some(FaultKind::RetargetPointer),
@@ -475,7 +463,7 @@ fn classify_slot(old: &Value, new: &Value, post: &Memory) -> Option<FaultKind> {
 /// Does `v` contain an address that does not resolve in `mem`?
 fn has_dangling(mem: &Memory, v: &Value) -> bool {
     match v {
-        Value::Addr(nu, loc) => mem.peek(*nu, *loc).is_err(),
+        Value::Addr(nu, loc) => mem.get(*nu, *loc).is_err(),
         Value::Pair(a, b) => has_dangling(mem, a) || has_dangling(mem, b),
         Value::PackTag { val, .. }
         | Value::PackAlpha { val, .. }

@@ -36,8 +36,7 @@
 use std::collections::HashSet;
 
 use crate::error::{wf_err, Result};
-use crate::intern::SlotVal;
-use crate::memory::{slot_words, Memory, PageView};
+use crate::memory::{value_words, Memory, PageView};
 use crate::syntax::{Dialect, RegionName, Term, Value, CD};
 use crate::tyck::{Checker, Ctx};
 use crate::wf;
@@ -108,9 +107,9 @@ fn audit_dirty_inner(mem: &Memory, dialect: Dialect) -> Result<()> {
             // Pointer validity: everything a dirty slot references must
             // resolve to a live slot.
             work.clear();
-            wf::collect_slot_addrs(stored, &mut work);
+            wf::collect_value_addrs(stored, &mut work);
             for &(tnu, tloc) in &work {
-                if let Err(e) = mem.peek(tnu, tloc) {
+                if let Err(e) = mem.get(tnu, tloc) {
                     return Err(wf_err(format!(
                         "pointer {tnu}.{tloc} stored in dirty slot {nu}.{loc} \
                          is dangling: {e}"
@@ -138,11 +137,9 @@ fn audit_dirty_inner(mem: &Memory, dialect: Dialect) -> Result<()> {
                 // (This trusts put-time inference; the full walk re-checks
                 // everything.)
                 if !page.is_pristine(slot) {
-                    checker
-                        .check_value(ctx, &stored.canonical(), entry)
-                        .map_err(|e| {
-                            wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}"))
-                        })?;
+                    checker.check_value(ctx, stored, entry).map_err(|e| {
+                        wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}"))
+                    })?;
                 }
             }
         }
@@ -216,10 +213,10 @@ fn slot_word_check(
     loc: u32,
     page: &PageView<'_>,
     slot: usize,
-    stored: &SlotVal,
+    stored: &Value,
     dialect: Dialect,
 ) -> Result<()> {
-    let recomputed = slot_words(stored);
+    let recomputed = value_words(stored);
     let Some(memo) = page.slot_size(slot) else {
         return Err(wf_err(format!("slot {nu}.{loc} has no size memo")));
     };
@@ -241,8 +238,7 @@ fn audit_cd(mem: &Memory) -> Result<()> {
         return Err(wf_err("code region cd has been reclaimed"));
     };
     for (loc, v) in cd.iter() {
-        if !matches!(v.as_val(), Some(Value::Code(_))) {
-            let v = v.canonical();
+        if !matches!(v, Value::Code(_)) {
             return Err(wf_err(format!("cd.{loc} holds a non-code value: {v:?}")));
         }
     }
@@ -281,7 +277,7 @@ fn audit_words(mem: &Memory, dialect: Dialect) -> Result<()> {
         let Some(region) = mem.region(nu) else {
             continue;
         };
-        let recomputed: usize = region.iter().map(|(_, v)| slot_words(v)).sum();
+        let recomputed: usize = region.iter().map(|(_, v)| value_words(v)).sum();
         let recorded = region.words();
         let bad = match dialect {
             Dialect::Forwarding => recomputed > recorded,
@@ -305,8 +301,8 @@ fn audit_pointers(mem: &Memory, root: &Term) -> Result<()> {
         if !seen.insert((nu, loc)) {
             continue;
         }
-        match mem.peek(nu, loc) {
-            Ok(v) => wf::collect_slot_addrs(v, &mut work),
+        match mem.get(nu, loc) {
+            Ok(v) => wf::collect_value_addrs(v, &mut work),
             Err(e) => {
                 return Err(wf_err(format!(
                     "reachable pointer {nu}.{loc} is dangling: {e}"
@@ -353,7 +349,7 @@ fn audit_psi(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
                 return Err(wf_err(format!("slot {nu}.{loc} has no Ψ entry")));
             };
             checker
-                .check_value(&ctx, &stored.canonical(), entry)
+                .check_value(&ctx, stored, entry)
                 .map_err(|e| wf_err(format!("slot {nu}.{loc} does not match its Ψ type: {e}")))?;
         }
     }

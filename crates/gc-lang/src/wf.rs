@@ -103,7 +103,7 @@ pub fn check_state(machine: &SubstMachine, opts: WfOptions) -> Result<()> {
                 ));
             };
             checker
-                .check_value(&ctx, &stored.canonical(), entry)
+                .check_value(&ctx, stored, entry)
                 .map_err(|e| e.in_context(format!("store slot {nu}.{loc}")))?;
         }
     }
@@ -136,26 +136,11 @@ pub(crate) fn reachable_slots_in(
         }
         if let Some(region) = mem.region(nu) {
             if let Some((_, v)) = region.iter().find(|(l, _)| *l == loc) {
-                collect_slot_addrs(v, &mut work);
+                collect_value_addrs(v, &mut work);
             }
         }
     }
     seen
-}
-
-/// [`collect_value_addrs`] over either arm of a heap slot, without forcing:
-/// a thunk's addresses live in its (canonical) child nodes.
-pub(crate) fn collect_slot_addrs(sv: &crate::intern::SlotVal, out: &mut Vec<(RegionName, u32)>) {
-    match sv {
-        crate::intern::SlotVal::Val(v) => collect_value_addrs(v, out),
-        crate::intern::SlotVal::LazyPair(c) => {
-            collect_value_addrs(c.0.value(), out);
-            collect_value_addrs(c.1.value(), out);
-        }
-        crate::intern::SlotVal::LazyInl(c) | crate::intern::SlotVal::LazyInr(c) => {
-            collect_value_addrs(c.value(), out)
-        }
-    }
 }
 
 pub(crate) fn collect_value_addrs(v: &Value, out: &mut Vec<(RegionName, u32)>) {

@@ -59,8 +59,8 @@ fn check_against_model(mem: &Memory, model: &Model, page_words: usize) {
     // through the owning region's page list to the same value.
     let slot_bits = page_words.max(1).next_power_of_two().trailing_zeros();
     for ((nu, loc), expected) in &model.slots {
-        let got = mem.peek(*nu, *loc).expect("live slot reads back");
-        assert_eq!(got.as_val(), Some(expected), "round-trip at {nu}.{loc}");
+        let got = mem.get(*nu, *loc).expect("live slot reads back");
+        assert_eq!(got, expected, "round-trip at {nu}.{loc}");
         let region = mem.region(*nu).expect("owning region is live");
         let ordinal = (loc >> slot_bits) as usize;
         let slot = (loc & ((1 << slot_bits) - 1)) as usize;
@@ -69,12 +69,7 @@ fn check_against_model(mem: &Memory, model: &Model, page_words: usize) {
         assert_eq!(page.owner(), *nu);
         assert_eq!(page.ordinal() as usize, ordinal);
         assert_eq!(page.loc_of(slot), *loc, "loc encoding round-trips");
-        assert_eq!(
-            page.slot(slot)
-                .and_then(ps_gc_lang::intern::SlotVal::as_val),
-            Some(expected),
-            "page-level read agrees"
-        );
+        assert_eq!(page.slot(slot), Some(expected), "page-level read agrees");
     }
     // Page accounting: the stats, the live-page walk, and the model's idea
     // of which ids are in use all agree; reserved words are exactly the

@@ -1,13 +1,16 @@
-//! E17 — lazy value interning: throughput and audit cost with
-//! ids-or-thunks heap slots versus the eager-interning baseline.
+//! E17 — execution throughput and incremental-audit cost per backend,
+//! the repo's tracked execution-layer numbers.
+//!
+//! (The example's name is historical: E17 first measured lazy
+//! ids-or-thunks heap slots against eager interning. Eager won, so slots
+//! are now always canonical values and the A/B column is gone.)
 //!
 //! Two measurements over the E9/E14 throughput rows and the E15 audit
 //! rows, interleaved best-of-5 (every configuration is timed inside the
 //! same rep loop, so all samples see the same scheduler conditions):
 //!
-//! * **throughput** — steps/second per backend, lazy (the default) and
-//!   with `--eager-intern`, plus the bytecode-over-env speedup the E14
-//!   target is stated against;
+//! * **throughput** — steps/second per backend, plus the bytecode-over-env
+//!   speedup the E14 target is stated against;
 //! * **audit ratio** — wall-clock of a `--verify-every 1 --audit
 //!   incremental` run over the bare run (both with Ψ tracking on, as in
 //!   E15), per backend.
@@ -19,8 +22,9 @@
 //! `--smoke` runs a single workload at 2 reps (the tier-1 wiring);
 //! `--json PATH` additionally writes the machine-readable `BENCH_E17.json`
 //! that `scripts/bench.sh` checks in. Byte-identity of results, stats,
-//! and telemetry between lazy and eager runs is asserted by the
-//! `lazy_slots` lockstep suite; this example measures only wall-clock.
+//! and telemetry across backends and audit settings is asserted by the
+//! battery and backend-agreement suites; this example measures only
+//! wall-clock.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -29,11 +33,10 @@ use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
 use scavenger::{AuditMode, Backend, Collector, Compiled, RunOptions};
 
 /// Times one full run, returning (steps, seconds).
-fn timed_run(c: &Compiled, backend: Backend, eager: bool, track: bool, every: u64) -> (u64, f64) {
+fn timed_run(c: &Compiled, backend: Backend, track: bool, every: u64) -> (u64, f64) {
     let opts = RunOptions::builder()
         .collector(Collector::Basic) // collector ignored by run_with
         .backend(backend)
-        .eager_intern(eager)
         .track_types(track)
         .verify_every(every)
         .audit(AuditMode::Incremental)
@@ -47,37 +50,32 @@ fn timed_run(c: &Compiled, backend: Backend, eager: bool, track: bool, every: u6
 struct Row {
     name: String,
     steps: u64,
-    /// Best steps/second per backend, lazy slots (the default).
-    lazy_sps: [f64; 3],
-    /// Best steps/second per backend under `--eager-intern`.
-    eager_sps: [f64; 3],
+    /// Best steps/second per backend.
+    sps: [f64; 3],
     /// verify-every-1 incremental wall over bare wall, Ψ tracked, per
-    /// backend (lazy slots).
+    /// backend.
     audit_ratio: [f64; 3],
 }
 
 /// Measures every configuration of one workload, reps interleaved.
 fn measure(name: &str, c: &Compiled, reps: u32) -> Row {
     let mut steps = 0u64;
-    let mut lazy_best = [f64::INFINITY; 3];
-    let mut eager_best = [f64::INFINITY; 3];
+    let mut best = [f64::INFINITY; 3];
     let mut bare_tracked = [f64::INFINITY; 3];
     let mut audited = [f64::INFINITY; 3];
     for _ in 0..reps {
         for (i, backend) in Backend::ALL.into_iter().enumerate() {
-            let (s, lazy) = timed_run(c, backend, false, false, 0);
-            let (se, eager) = timed_run(c, backend, true, false, 0);
-            let (sb, bare) = timed_run(c, backend, false, true, 0);
-            let (sa, inc) = timed_run(c, backend, false, true, 1);
+            let (s, plain) = timed_run(c, backend, false, 0);
+            let (sb, bare) = timed_run(c, backend, true, 0);
+            let (sa, inc) = timed_run(c, backend, true, 1);
             if steps == 0 {
                 steps = s;
             }
             assert!(
-                s == steps && se == steps && sb == steps && sa == steps,
+                s == steps && sb == steps && sa == steps,
                 "{name}/{backend}: configurations disagree on step count"
             );
-            lazy_best[i] = lazy_best[i].min(lazy);
-            eager_best[i] = eager_best[i].min(eager);
+            best[i] = best[i].min(plain);
             bare_tracked[i] = bare_tracked[i].min(bare);
             audited[i] = audited[i].min(inc);
         }
@@ -86,8 +84,7 @@ fn measure(name: &str, c: &Compiled, reps: u32) -> Row {
     Row {
         name: name.to_string(),
         steps,
-        lazy_sps: sps(lazy_best),
-        eager_sps: sps(eager_best),
+        sps: sps(best),
         audit_ratio: [0, 1, 2].map(|i| audited[i] / bare_tracked[i]),
     }
 }
@@ -170,18 +167,16 @@ fn to_json(rows: &[Row], reps: u32) -> String {
             s,
             "    {{\"workload\": \"{}\", \"steps\": {}, \
              \"steps_per_sec\": {{{}}}, \
-             \"eager_steps_per_sec\": {{{}}}, \
              \"audit_ratio_incremental\": {{{}}}}}",
             r.name,
             r.steps,
-            trip(&r.lazy_sps),
-            trip(&r.eager_sps),
+            trip(&r.sps),
             ratios
         );
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    let bc_env = geomean(rows.iter().map(|r| r.lazy_sps[2] / r.lazy_sps[1]));
+    let bc_env = geomean(rows.iter().map(|r| r.sps[2] / r.sps[1]));
     let ratio_geo: Vec<String> = names
         .iter()
         .enumerate()
@@ -212,31 +207,22 @@ fn main() {
         .cloned();
     let reps = if smoke { 2 } else { 5 };
 
-    println!("E17: lazy ids-or-thunks slots vs eager interning");
+    println!("E17: execution throughput and incremental-audit cost");
     println!(
-        "{:<30} {:>10} {:>11} {:>11} {:>11} {:>7} {:>7} {:>7} {:>7}",
-        "workload",
-        "steps",
-        "env st/s",
-        "bc st/s",
-        "bc eager",
-        "bc/env",
-        "x(sub)",
-        "x(env)",
-        "x(bc)"
+        "{:<30} {:>10} {:>11} {:>11} {:>7} {:>7} {:>7} {:>7}",
+        "workload", "steps", "env st/s", "bc st/s", "bc/env", "x(sub)", "x(env)", "x(bc)"
     );
     let cases = workloads(smoke);
     let mut rows = Vec::new();
     for (name, compiled) in &cases {
         let row = measure(name, compiled, reps);
         println!(
-            "{:<30} {:>10} {:>11.0} {:>11.0} {:>11.0} {:>6.1}x {:>6.2} {:>6.2} {:>6.2}",
+            "{:<30} {:>10} {:>11.0} {:>11.0} {:>6.1}x {:>6.2} {:>6.2} {:>6.2}",
             row.name,
             row.steps,
-            row.lazy_sps[1],
-            row.lazy_sps[2],
-            row.eager_sps[2],
-            row.lazy_sps[2] / row.lazy_sps[1],
+            row.sps[1],
+            row.sps[2],
+            row.sps[2] / row.sps[1],
             row.audit_ratio[0],
             row.audit_ratio[1],
             row.audit_ratio[2],
@@ -244,10 +230,9 @@ fn main() {
         rows.push(row);
     }
     println!(
-        "\ngeomean bytecode/env: {:.1}x (eager baseline {:.1}x); \
+        "\ngeomean bytecode/env: {:.1}x; \
          audit ratios subst {:.2}x, env {:.2}x, bytecode {:.2}x",
-        geomean(rows.iter().map(|r| r.lazy_sps[2] / r.lazy_sps[1])),
-        geomean(rows.iter().map(|r| r.eager_sps[2] / r.eager_sps[1])),
+        geomean(rows.iter().map(|r| r.sps[2] / r.sps[1])),
         geomean(rows.iter().map(|r| r.audit_ratio[0])),
         geomean(rows.iter().map(|r| r.audit_ratio[1])),
         geomean(rows.iter().map(|r| r.audit_ratio[2])),

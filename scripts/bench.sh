@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # E17 perf tracking: runs the E9/E14/E15 workloads interleaved best-of-5
-# on every backend (lazy and eager slot interning, bare and audited) and
-# emits the machine-readable BENCH_E17.json checked in at the repo root.
+# on every backend (bare, and audited every step) and emits the
+# machine-readable BENCH_E17.json checked in at the repo root.
 #
 #   scripts/bench.sh                 # full run, writes BENCH_E17.json
 #   scripts/bench.sh --smoke [OUT]   # 1 workload at 2 reps (tier-1 wiring)

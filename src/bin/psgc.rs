@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use scavenger::gc_lang::faults::{parse_plans, FaultPlan};
 use scavenger::gc_lang::machine::Stats;
-use scavenger::gc_lang::memory::GrowthPolicy;
+use scavenger::gc_lang::memory::{GrowthPolicy, MAX_PAGE_WORDS};
 use scavenger::telemetry::{Recorder, SharedObserver};
 use scavenger::{AuditMode, Backend, Collector, PipelineError, RunOptions, SupervisedOutcome};
 
@@ -79,7 +79,7 @@ fn parse_number<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> 
         .map_err(|_| format!("invalid value {v:?} for {flag} (expected a number)"))
 }
 
-fn flag_specs() -> [FlagSpec; 23] {
+fn flag_specs() -> [FlagSpec; 21] {
     [
         FlagSpec {
             name: "--collector",
@@ -203,7 +203,13 @@ fn flag_specs() -> [FlagSpec; 23] {
             metavar: Some(|| "WORDS".into()),
             help: "page size of the BiBOP store in words (default 512, rounded to a power of two)",
             apply: |c, v| {
-                c.opts.page_words = parse_number(v, "--page-words")?;
+                let words: usize = parse_number(v, "--page-words")?;
+                if words > MAX_PAGE_WORDS {
+                    return Err(format!(
+                        "invalid value {v:?} for --page-words (at most {MAX_PAGE_WORDS})"
+                    ));
+                }
+                c.opts.page_words = words;
                 Ok(())
             },
         },
@@ -213,24 +219,6 @@ fn flag_specs() -> [FlagSpec; 23] {
             help: "print the compiled bytecode instruction stream before running",
             apply: |c, _| {
                 c.dump_bytecode = true;
-                Ok(())
-            },
-        },
-        FlagSpec {
-            name: "--no-superinstructions",
-            metavar: None,
-            help: "disable superinstruction fusion in the bytecode backend (A/B knob)",
-            apply: |c, _| {
-                c.opts.superinstructions = false;
-                Ok(())
-            },
-        },
-        FlagSpec {
-            name: "--eager-intern",
-            metavar: None,
-            help: "intern every heap slot eagerly at put time (disable lazy ids-or-thunks slots)",
-            apply: |c, _| {
-                c.opts.eager_intern = true;
                 Ok(())
             },
         },
@@ -475,7 +463,7 @@ fn cmd_disasm(cli: &Cli, src: &str) -> ExitCode {
     };
     print!(
         "{}",
-        scavenger::gc_lang::bytecode::disassemble(&compiled.program, cli.opts.superinstructions)
+        scavenger::gc_lang::bytecode::disassemble(&compiled.program)
     );
     if cli.stats_intern {
         print_intern_stats();
@@ -514,10 +502,7 @@ fn cmd_run(cli: &mut Cli, src: &str, check_only: bool) -> ExitCode {
     if cli.dump_bytecode {
         print!(
             "{}",
-            scavenger::gc_lang::bytecode::disassemble(
-                &compiled.program,
-                cli.opts.superinstructions
-            )
+            scavenger::gc_lang::bytecode::disassemble(&compiled.program)
         );
     }
     if check_only {

@@ -5,6 +5,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use scavenger::gc_lang::memory::MAX_PAGE_WORDS;
 use scavenger::telemetry::validate_jsonl_trace;
 use scavenger::{Backend, Collector};
 
@@ -54,8 +55,6 @@ fn help_is_generated_from_the_flag_and_command_tables() {
         "--max-heap-words",
         "--page-words",
         "--dump-bytecode",
-        "--no-superinstructions",
-        "--eager-intern",
         "--trace",
         "--metrics",
         "--sample",
@@ -422,73 +421,6 @@ fn stats_intern_reports_interner_occupancy() {
 }
 
 #[test]
-fn stats_intern_reports_lazy_slot_counters() {
-    let prog = write_program("stats_intern_lazy.lam");
-    let prog = prog.to_str().unwrap();
-    let grab = |stderr: &str, label: &str| -> u64 {
-        stderr
-            .lines()
-            .find(|l| l.trim_start().starts_with(label))
-            .and_then(|l| l.split_whitespace().last())
-            .and_then(|w| w.parse().ok())
-            .unwrap_or_else(|| panic!("numeric {label:?} row expected in: {stderr}"))
-    };
-    for backend in ["env", "bytecode"] {
-        let out = psgc(&["run", prog, "--backend", backend, "--stats-intern"]);
-        assert_eq!(exit_code(&out), 0, "{out:?}");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        for row in [
-            "lazy deferred",
-            "lazy forced",
-            "lazy backfill",
-            "lazy skipped",
-        ] {
-            assert!(stderr.contains(row), "missing row {row:?}: {stderr}");
-        }
-        let deferred = grab(&stderr, "lazy deferred");
-        let forced = grab(&stderr, "lazy forced");
-        let backfilled = grab(&stderr, "lazy backfill");
-        let skipped = grab(&stderr, "lazy skipped");
-        // The counters must sum consistently: every backfill is a force,
-        // and every deferred slot is backfilled at most once, skipped, or
-        // still live as a thunk.
-        assert!(deferred > 0, "{backend}: the run must defer some slots");
-        assert!(
-            forced >= backfilled,
-            "{backend}: {forced} forces < {backfilled} backfills"
-        );
-        assert!(
-            backfilled + skipped <= deferred,
-            "{backend}: {backfilled} backfills + {skipped} skips > {deferred} deferred"
-        );
-
-        // `--eager-intern` turns the representation off entirely.
-        let out = psgc(&[
-            "run",
-            prog,
-            "--backend",
-            backend,
-            "--eager-intern",
-            "--stats-intern",
-        ]);
-        assert_eq!(exit_code(&out), 0, "{out:?}");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        for label in [
-            "lazy deferred",
-            "lazy forced",
-            "lazy backfill",
-            "lazy skipped",
-        ] {
-            assert_eq!(
-                grab(&stderr, label),
-                0,
-                "{backend}: {label} must be zero under --eager-intern"
-            );
-        }
-    }
-}
-
-#[test]
 fn stats_pages_reports_the_page_store() {
     let prog = write_program("stats_pages.lam");
     let out = psgc(&["run", prog.to_str().unwrap(), "--stats-pages"]);
@@ -509,6 +441,28 @@ fn stats_pages_reports_the_page_store() {
         .and_then(|w| w.parse().ok())
         .expect("allocated count parses");
     assert!(allocated > 0, "a run must allocate pages: {pages_row}");
+}
+
+/// Page sizes past `MAX_PAGE_WORDS` are usage errors: one that the host
+/// cannot reserve used to abort the process, and one past 2³² used to
+/// overflow the packed offsets into a bogus memory error.
+#[test]
+fn page_words_above_the_limit_is_a_usage_error() {
+    let prog = write_program("page_words_limit.lam");
+    let prog = prog.to_str().unwrap();
+    for words in ["268435456", "4294967297"] {
+        let out = psgc(&["run", prog, "--page-words", words]);
+        assert_eq!(exit_code(&out), 2, "--page-words {words}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&MAX_PAGE_WORDS.to_string()),
+            "the message must name the limit: {stderr}"
+        );
+    }
+    let limit = MAX_PAGE_WORDS.to_string();
+    let out = psgc(&["run", prog, "--page-words", &limit]);
+    assert_eq!(exit_code(&out), 0, "--page-words {limit}: {out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3628800");
 }
 
 #[test]

@@ -1,125 +1,40 @@
-//! The lazy-vs-eager lockstep gates for the ids-or-thunks slot
-//! representation (DESIGN.md § "Lazy value interning").
+//! Audit-strategy lockstep over the fault matrix.
 //!
-//! Lazy interning is a pure representation change: deferring a slot's
-//! hash-cons to its first identity demand must not move a single
-//! observable bit. These tests pin that contract from the outside:
-//!
-//! * a lazy run and an `eager_intern` run produce the same result, the
-//!   same [`Stats`], and a byte-identical telemetry trace, across
-//!   `Backend::ALL` × all collectors × both audit strategies;
-//! * every injected fault class is detected at the same step with lazy
-//!   slots as with eager ones, under both `--audit incremental` and
-//!   `--audit full` — the corruption detectors must not depend on when
-//!   (or whether) a slot was forced.
+//! The incremental (dirty-page) audit and the full ⊢ M : Ψ walk must
+//! agree on every injected fault: for each fault class × collector ×
+//! backend, both abort at the same step with the same event stream, and
+//! the full walk's diagnosis — a function of the heap alone — is the same
+//! on every backend. The file and test names date from when a heap slot
+//! could also hold a deferred thunk; the check never depended on it and
+//! now runs against the one slot representation.
 
 use ps_gc_lang::faults::{FaultKind, FaultPlan};
-use ps_gc_lang::machine::Stats;
 use scavenger::telemetry::Recorder;
 use scavenger::{AuditMode, Backend, Collector, PipelineError, RunOptions};
-
-/// Runs `src` under `opts` with a recorder attached; returns the result,
-/// the stats, and the serialized telemetry trace.
-fn traced_run(opts: &RunOptions, src: &str) -> (i64, Stats, String) {
-    let rec = Recorder::new().into_shared();
-    let mut opts = opts.clone();
-    opts.observer = Some(rec.clone());
-    let compiled = opts.compile(src).expect("compiles");
-    let run = compiled.run_with(&opts).expect("clean run");
-    let jsonl = rec.borrow().to_jsonl();
-    (run.result, run.stats, jsonl)
-}
-
-/// Runs `src` under `opts` expecting an invariant violation; returns the
-/// violation message and the telemetry trace up to the abort.
-fn violated_run(opts: &RunOptions, src: &str) -> (String, String) {
-    let rec = Recorder::new().into_shared();
-    let mut opts = opts.clone();
-    opts.observer = Some(rec.clone());
-    let compiled = opts.compile(src).expect("compiles");
-    let outcome = compiled.run_with(&opts);
-    let jsonl = rec.borrow().to_jsonl();
-    match outcome {
-        Err(PipelineError::InvariantViolation(e)) => (e.to_string(), jsonl),
-        other => panic!("fault escaped the auditor: {other:?}"),
-    }
-}
-
-const PROGRAMS: &[(&str, &str, i64)] = &[
-    (
-        "factorial",
-        "fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\n fact 9",
-        362_880,
-    ),
-    (
-        "higher-order",
-        "fun twice (f : int -> int) : int -> int = fn (x : int) => f (f x)\n\
-         fun thrice (f : int -> int) : int -> int = fn (x : int) => f (f (f x))\n\
-         (twice (thrice (fn (y : int) => y + 1))) 0",
-        6,
-    ),
-    (
-        "gc-stress",
-        "fun churn (n : int) : int = if0 n then 0 else \
-           (let p = ((n, n), (n, n)) in fst (fst p) - n + churn (n - 1))\n \
-         churn 24",
-        0,
-    ),
-];
-
-/// The tentpole's byte-identity acceptance gate: across every backend,
-/// collector, and audit strategy, a lazy run is indistinguishable from an
-/// eager run — same result, same stats, byte-identical telemetry.
-#[test]
-fn lazy_and_eager_runs_are_byte_identical() {
-    for (name, src, expected) in PROGRAMS {
-        for collector in Collector::ALL {
-            for backend in Backend::ALL {
-                // Per-step cadence for the (cheap) incremental strategy;
-                // the full walk re-derives ⊢ M : Ψ from scratch, so it
-                // audits on a coarser (and deliberately odd) cadence —
-                // still walking plenty of unforced thunks.
-                for (audit, every) in [(AuditMode::Incremental, 1), (AuditMode::Full, 13)] {
-                    let lazy = RunOptions::builder()
-                        .collector(collector)
-                        .backend(backend)
-                        .budget(64)
-                        .track_types(true)
-                        .verify_every(every)
-                        .audit(audit)
-                        .build();
-                    let eager = RunOptions::builder()
-                        .collector(collector)
-                        .backend(backend)
-                        .budget(64)
-                        .track_types(true)
-                        .verify_every(every)
-                        .audit(audit)
-                        .eager_intern(true)
-                        .build();
-                    let (lr, ls, lt) = traced_run(&lazy, src);
-                    let (er, es, et) = traced_run(&eager, src);
-                    let tag = format!("{name}/{collector}/{backend}/{audit:?}");
-                    assert_eq!(lr, *expected, "{tag}: lazy result");
-                    assert_eq!(er, *expected, "{tag}: eager result");
-                    assert_eq!(ls, es, "{tag}: stats must not depend on slot laziness");
-                    assert_eq!(
-                        lt, et,
-                        "{tag}: telemetry must be byte-identical lazy vs eager"
-                    );
-                }
-            }
-        }
-    }
-}
 
 const FAULT_SRC: &str = "fun build (n : int) : int * int = if0 n then (0, 0) else \
     (let rest = build (n - 1) in (n + fst rest, n))\n fst (build 8)";
 
-/// Drops the free-text `detail` from `invariant_violation` events: the
-/// two audit strategies may word the same diagnosis differently (a dirty
-/// *slot* vs a reachable *pointer* — DESIGN.md §7), but every event, and
-/// in particular the violation's step, must still line up exactly.
+/// Runs `FAULT_SRC` under `opts` with a recorder attached, expecting the
+/// audit to catch the injected fault; returns the violation message and
+/// the telemetry trace up to the abort.
+fn violated_run(opts: &RunOptions, tag: &str) -> (String, String) {
+    let rec = Recorder::new().into_shared();
+    let mut opts = opts.clone();
+    opts.observer = Some(rec.clone());
+    let compiled = opts.compile(FAULT_SRC).expect("compiles");
+    let outcome = compiled.run_with(&opts);
+    let jsonl = rec.borrow().to_jsonl();
+    match outcome {
+        Err(PipelineError::InvariantViolation(e)) => {
+            let msg = e.to_string();
+            assert!(!msg.is_empty(), "{tag}: empty violation");
+            (msg, jsonl)
+        }
+        other => panic!("{tag}: fault escaped the auditor: {other:?}"),
+    }
+}
+
 /// Replaces gensym numerals (`tenv%6444`) with `%?`: the counter is
 /// process-global, so two runs in the same test process see different
 /// fresh names in otherwise identical diagnostics.
@@ -138,6 +53,10 @@ fn normalize_gensyms(s: &str) -> String {
     out
 }
 
+/// Drops the free-text `detail` from `invariant_violation` events: the
+/// two audit strategies may word the same diagnosis differently (a dirty
+/// *slot* vs a reachable *pointer* — DESIGN.md §7), but every event, and
+/// in particular the violation's step, must still line up exactly.
 fn strip_violation_detail(trace: &str) -> String {
     trace
         .lines()
@@ -150,55 +69,47 @@ fn strip_violation_detail(trace: &str) -> String {
         .collect()
 }
 
-/// The 7-class fault matrix with lazy slots: every class is still caught,
-/// at the same step, with the same violation message, as the eager
-/// full-walk baseline — the detectors see through thunks.
+/// The 7-class fault matrix under both audit strategies: every class is
+/// caught, the incremental audit aborts at the full walk's step (identical
+/// traces up to the violation's detail), and the full walk reports the
+/// same diagnosis on every backend.
 #[test]
 fn fault_matrix_detects_at_the_same_step_with_lazy_slots() {
     for kind in FaultKind::ALL {
         for collector in Collector::ALL {
-            for backend in [Backend::Env, Backend::Bytecode] {
-                let base = || {
+            let mut full_diagnosis: Option<(Backend, String)> = None;
+            for backend in Backend::ALL {
+                let opts = |audit| {
                     RunOptions::builder()
                         .collector(collector)
                         .backend(backend)
                         .budget(64)
                         .track_types(true)
                         .verify_every(1)
+                        .audit(audit)
                         .inject(FaultPlan {
                             kind,
                             step: 20,
                             seed: 1,
                         })
+                        .build()
                 };
-                let lazy_inc = base().audit(AuditMode::Incremental).build();
-                let lazy_full = base().audit(AuditMode::Full).build();
-                let eager_full = base().audit(AuditMode::Full).eager_intern(true).build();
-                let (msg_li, trace_li) = violated_run(&lazy_inc, FAULT_SRC);
-                let (msg_lf, trace_lf) = violated_run(&lazy_full, FAULT_SRC);
-                let (msg_ef, trace_ef) = violated_run(&eager_full, FAULT_SRC);
                 let tag = format!("{kind}/{collector}/{backend}");
-                // Identical event streams pin the abort to the same step:
-                // the trace records every event up to the violation. The
-                // free-text detail is compared separately — the strategies
-                // may word the same diagnosis differently (DESIGN.md §7)
-                // and gensym'd names differ between in-process runs.
+                let (_, trace_inc) = violated_run(&opts(AuditMode::Incremental), &tag);
+                let (msg_full, trace_full) = violated_run(&opts(AuditMode::Full), &tag);
                 assert_eq!(
-                    strip_violation_detail(&trace_li),
-                    strip_violation_detail(&trace_ef),
-                    "{tag}: lazy incremental must abort at the eager full-walk step"
+                    strip_violation_detail(&trace_inc),
+                    strip_violation_detail(&trace_full),
+                    "{tag}: the incremental audit must abort at the full-walk step"
                 );
-                assert_eq!(
-                    strip_violation_detail(&trace_lf),
-                    strip_violation_detail(&trace_ef),
-                    "{tag}: lazy full walk must abort at the eager full-walk step"
-                );
-                assert_eq!(
-                    normalize_gensyms(&msg_lf),
-                    normalize_gensyms(&msg_ef),
-                    "{tag}: lazy full walk must report the eager diagnosis"
-                );
-                assert!(!msg_li.is_empty(), "{tag}: empty violation");
+                let msg_full = normalize_gensyms(&msg_full);
+                match &full_diagnosis {
+                    None => full_diagnosis = Some((backend, msg_full)),
+                    Some((first, msg)) => assert_eq!(
+                        &msg_full, msg,
+                        "{tag}: full-walk diagnosis differs from {first}'s"
+                    ),
+                }
             }
         }
     }
