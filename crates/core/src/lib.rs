@@ -179,10 +179,13 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// Everything that configures one run, in one place: which collector to
-/// link, which backend interprets, the memory settings, the fuel, and the
-/// telemetry observer. Consumed by [`RunOptions::compile`] /
-/// [`Compiled::run_with`] in the library and by `psgc`'s flag parser, so
-/// the CLI and the API cannot drift apart.
+/// link, which backend interprets, the memory settings, the fuel, the
+/// audit/fault/checkpoint/deadline knobs and the telemetry observer.
+/// Consumed by [`RunOptions::compile`] / [`Compiled::run_with`] /
+/// [`Compiled::supervise`] in the library and by `psgc`'s flag parser, so
+/// the CLI and the API cannot drift apart. [`Pipeline`] (alias
+/// [`RunOptionsBuilder`]) is its chainable front end, and a [`Compiled`]
+/// program keeps the options it was compiled with.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`RunOptions::builder`] (or [`RunOptions::new`] /
@@ -227,7 +230,9 @@ pub struct RunOptions {
     /// machine steps (0 = never). Only meaningful with an observer.
     pub step_interval: u64,
     /// Run the [`ps_gc_lang::verify`] heap auditor every this many machine
-    /// steps (0 = never). A failed audit ends the run with
+    /// steps. 0 = never on a plain run; under [`Compiled::supervise`], 0
+    /// keeps the supervisor's default cadence ([`SuperviseSpec::new`]). A
+    /// failed audit ends a plain run with
     /// [`PipelineError::InvariantViolation`].
     pub verify_every: u64,
     /// Deterministic faults to inject during the run (fault-injection
@@ -250,8 +255,9 @@ pub struct RunOptions {
     /// (see [`Compiled::supervise`]).
     pub supervise: bool,
     /// Take a machine checkpoint every this many steps, in addition to the
-    /// checkpoint at every GC boundary (0 = GC boundaries only when
-    /// supervised, no checkpoints otherwise).
+    /// checkpoint at every GC boundary. 0 = no checkpoints on a plain run;
+    /// under [`Compiled::supervise`], 0 keeps the supervisor's default
+    /// cadence ([`SuperviseSpec::new`]).
     pub checkpoint_every: u64,
     /// Wall-clock deadline for the run, in milliseconds (`None` =
     /// unbounded). An expired deadline ends an unsupervised run with
@@ -296,7 +302,7 @@ impl RunOptions {
     /// A builder over the defaults — the forward-compatible way to
     /// construct options (the struct is `#[non_exhaustive]`).
     pub fn builder() -> RunOptionsBuilder {
-        RunOptionsBuilder::default()
+        Pipeline::default()
     }
 
     /// The memory configuration these options describe.
@@ -316,258 +322,8 @@ impl RunOptions {
             .unwrap_or(Backend::default_for(self.track_types))
     }
 
-    /// The equivalent [`Pipeline`] (observer included).
-    pub fn pipeline(&self) -> Pipeline {
-        Pipeline {
-            collector: self.collector,
-            config: self.mem_config(),
-            check_stages: self.check_stages,
-            backend: self.backend,
-            observer: self.observer.clone(),
-            step_interval: self.step_interval,
-        }
-    }
-
-    /// Compiles `source` under these options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::compile`].
-    pub fn compile(&self, source: &str) -> Result<Compiled, PipelineError> {
-        self.pipeline().compile(source)
-    }
-
-    /// Trace-header metadata describing these options (for
-    /// [`telemetry::Recorder::with_meta`]).
-    pub fn meta(&self) -> RunMeta {
-        RunMeta {
-            collector: self.collector.name().to_string(),
-            backend: self.resolved_backend().to_string(),
-            budget: self.budget,
-            growth: self.growth.to_string(),
-            fuel: self.fuel,
-            step_interval: self.step_interval,
-        }
-    }
-}
-
-/// Chainable constructor for [`RunOptions`], starting from the defaults.
-/// Obtained from [`RunOptions::builder`]; finish with
-/// [`RunOptionsBuilder::build`].
-///
-/// # Examples
-///
-/// ```
-/// use scavenger::{Backend, Collector, RunOptions};
-///
-/// let opts = RunOptions::builder()
-///     .collector(Collector::Generational)
-///     .backend(Backend::Bytecode)
-///     .budget(128)
-///     .verify_every(64)
-///     .build();
-/// assert_eq!(opts.resolved_backend(), Backend::Bytecode);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct RunOptionsBuilder {
-    opts: RunOptions,
-}
-
-impl RunOptionsBuilder {
-    /// Which certified collector to link against.
-    pub fn collector(mut self, collector: Collector) -> RunOptionsBuilder {
-        self.opts.collector = collector;
-        self
-    }
-
-    /// Pins the interpreter backend (the default resolves via
-    /// [`Backend::default_for`]).
-    pub fn backend(mut self, backend: Backend) -> RunOptionsBuilder {
-        self.opts.backend = Some(backend);
-        self
-    }
-
-    /// Base region budget in words.
-    pub fn budget(mut self, words: usize) -> RunOptionsBuilder {
-        self.opts.budget = words;
-        self
-    }
-
-    /// Region budget growth policy.
-    pub fn growth(mut self, policy: GrowthPolicy) -> RunOptionsBuilder {
-        self.opts.growth = policy;
-        self
-    }
-
-    /// Step limit for the run.
-    pub fn fuel(mut self, fuel: u64) -> RunOptionsBuilder {
-        self.opts.fuel = fuel;
-        self
-    }
-
-    /// Maintain the memory typing `Ψ` while running.
-    pub fn track_types(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.track_types = on;
-        self
-    }
-
-    /// Typecheck every intermediate program during compilation.
-    pub fn check_stages(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.check_stages = on;
-        self
-    }
-
-    /// Attaches a telemetry observer; `step_interval > 0` additionally
-    /// emits periodic heap samples.
-    pub fn observer(mut self, observer: SharedObserver, step_interval: u64) -> RunOptionsBuilder {
-        self.opts.observer = Some(observer);
-        self.opts.step_interval = step_interval;
-        self
-    }
-
-    /// Run the heap auditor every `n` machine steps (0 = never).
-    pub fn verify_every(mut self, n: u64) -> RunOptionsBuilder {
-        self.opts.verify_every = n;
-        self
-    }
-
-    /// Arms a deterministic fault plan (fault-injection machinery).
-    /// Chainable: each call adds a plan.
-    pub fn inject(mut self, plan: FaultPlan) -> RunOptionsBuilder {
-        self.opts.inject.push(plan);
-        self
-    }
-
-    /// Arms several fault plans at once (e.g. from
-    /// [`gc_lang::faults::parse_plans`]).
-    pub fn inject_all(mut self, plans: &[FaultPlan]) -> RunOptionsBuilder {
-        self.opts.inject.extend_from_slice(plans);
-        self
-    }
-
-    /// Run under the supervisor (checkpoint, restart, triage).
-    pub fn supervise(mut self, on: bool) -> RunOptionsBuilder {
-        self.opts.supervise = on;
-        self
-    }
-
-    /// Take a machine checkpoint every `n` steps (plus GC boundaries).
-    pub fn checkpoint_every(mut self, n: u64) -> RunOptionsBuilder {
-        self.opts.checkpoint_every = n;
-        self
-    }
-
-    /// Wall-clock deadline for the run, in milliseconds.
-    pub fn timeout_ms(mut self, ms: u64) -> RunOptionsBuilder {
-        self.opts.timeout_ms = Some(ms);
-        self
-    }
-
-    /// Hard cap on live heap words.
-    pub fn max_heap_words(mut self, words: usize) -> RunOptionsBuilder {
-        self.opts.max_heap_words = Some(words);
-        self
-    }
-
-    /// Page size of the BiBOP store, in words.
-    pub fn page_words(mut self, words: usize) -> RunOptionsBuilder {
-        self.opts.page_words = words;
-        self
-    }
-
-    /// Audit strategy for the periodic heap auditor.
-    pub fn audit(mut self, mode: AuditMode) -> RunOptionsBuilder {
-        self.opts.audit = mode;
-        self
-    }
-
-    /// The finished options.
-    pub fn build(self) -> RunOptions {
-        self.opts
-    }
-}
-
-/// The compilation pipeline: source → CPS → λCLOS → λGC, linked with a
-/// certified collector.
-#[derive(Clone, Debug)]
-pub struct Pipeline {
-    collector: Collector,
-    config: MemConfig,
-    check_stages: bool,
-    backend: Option<Backend>,
-    observer: Option<SharedObserver>,
-    step_interval: u64,
-}
-
-impl Pipeline {
-    /// A pipeline for the given collector with default memory settings.
-    pub fn new(collector: Collector) -> Pipeline {
-        Pipeline {
-            collector,
-            config: MemConfig::default(),
-            check_stages: true,
-            backend: None,
-            observer: None,
-            step_interval: 0,
-        }
-    }
-
-    /// Sets the base region budget in words (how much mutator allocation
-    /// fits before `ifgc` triggers a collection).
-    pub fn region_budget(mut self, words: usize) -> Pipeline {
-        self.config.region_budget = words;
-        self
-    }
-
-    /// Sets the budget growth policy.
-    pub fn growth(mut self, policy: GrowthPolicy) -> Pipeline {
-        self.config.growth = policy;
-        self
-    }
-
-    /// Maintains the memory typing `Ψ` while running, enabling
-    /// [`gc_lang::wf::check_state`] (slower; off by default).
-    pub fn track_types(mut self, on: bool) -> Pipeline {
-        self.config.track_types = on;
-        self
-    }
-
-    /// Skips the per-stage intermediate typechecks during [`Self::compile`]
-    /// (they are cheap; only benchmarks turn them off).
-    pub fn check_stages(mut self, on: bool) -> Pipeline {
-        self.check_stages = on;
-        self
-    }
-
-    /// Pins the interpreter backend for [`Compiled::run`].
-    ///
-    /// By default the backend is chosen automatically: the environment
-    /// machine ([`Backend::Env`]) for plain runs, the substitution machine
-    /// ([`Backend::Subst`]) when [`Self::track_types`] is on — the
-    /// well-formedness judgement `⊢ (M, e)` consumes a closed term, which
-    /// only the substitution machine maintains. The two backends are
-    /// observationally identical (results *and* statistics).
-    pub fn backend(mut self, backend: Backend) -> Pipeline {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Attaches a telemetry observer to machines created from the compiled
-    /// program. `step_interval > 0` additionally emits periodic heap
-    /// samples (see [`telemetry::GcEvent::Step`]).
-    pub fn observer(mut self, observer: SharedObserver, step_interval: u64) -> Pipeline {
-        self.observer = Some(observer);
-        self.step_interval = step_interval;
-        self
-    }
-
-    /// The memory configuration this pipeline loads machines with.
-    pub fn config(&self) -> MemConfig {
-        self.config
-    }
-
-    /// Compiles a source program all the way to a λGC program linked with
-    /// the collector.
+    /// Compiles `source` all the way to a λGC program linked with the
+    /// collector. The result keeps these options.
     ///
     /// # Errors
     ///
@@ -594,28 +350,226 @@ impl Pipeline {
         }
         .map_err(PipelineError::Trans)?;
         Ok(Compiled {
-            collector: self.collector,
-            config: self.config,
-            backend: self
-                .backend
-                .unwrap_or(Backend::default_for(self.config.track_types)),
-            observer: self.observer.clone(),
-            step_interval: self.step_interval,
+            opts: self.clone(),
             source: src,
             clos,
             program,
         })
     }
+
+    /// Trace-header metadata describing these options (for
+    /// [`telemetry::Recorder::with_meta`]).
+    pub fn meta(&self) -> RunMeta {
+        RunMeta {
+            collector: self.collector.name().to_string(),
+            backend: self.resolved_backend().to_string(),
+            budget: self.budget,
+            growth: self.growth.to_string(),
+            fuel: self.fuel,
+            step_interval: self.step_interval,
+        }
+    }
+
+    /// These options as the run description ps-gc-lang loads machines
+    /// from — the one place the run knobs cross over. When `supervised`,
+    /// cadences left at 0 keep [`SuperviseSpec::new`]'s defaults.
+    fn spec(&self, supervised: bool) -> SuperviseSpec {
+        let defaults = SuperviseSpec::new(self.resolved_backend(), self.mem_config(), self.fuel);
+        let cadence = |n: u64, default: u64| if n == 0 && supervised { default } else { n };
+        SuperviseSpec {
+            verify_every: cadence(self.verify_every, defaults.verify_every),
+            audit: self.audit,
+            faults: self.inject.clone(),
+            observer: self.observer.clone(),
+            step_interval: self.step_interval,
+            checkpoint_every: cadence(self.checkpoint_every, defaults.checkpoint_every),
+            timeout_ms: self.timeout_ms,
+            ..defaults
+        }
+    }
 }
 
-/// A compiled program with its intermediate forms.
+/// The chainable front end of [`RunOptions`]: each method sets one field
+/// of the options it wraps, and [`Pipeline::compile`] /
+/// [`Pipeline::build`] finish. Start from [`Pipeline::new`] (a collector)
+/// or [`RunOptions::builder`] (the defaults).
+///
+/// # Examples
+///
+/// ```
+/// use scavenger::{Backend, Collector, RunOptions};
+///
+/// let opts = RunOptions::builder()
+///     .collector(Collector::Generational)
+///     .backend(Backend::Bytecode)
+///     .budget(128)
+///     .verify_every(64)
+///     .build();
+/// assert_eq!(opts.resolved_backend(), Backend::Bytecode);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Pipeline {
+    opts: RunOptions,
+}
+
+/// The name [`RunOptions::builder`] returns: the same chainable front end
+/// as [`Pipeline`].
+pub type RunOptionsBuilder = Pipeline;
+
+impl Pipeline {
+    /// A pipeline for the given collector with default settings.
+    pub fn new(collector: Collector) -> Pipeline {
+        Pipeline {
+            opts: RunOptions::new(collector),
+        }
+    }
+
+    /// Which certified collector to link against.
+    pub fn collector(mut self, collector: Collector) -> Pipeline {
+        self.opts.collector = collector;
+        self
+    }
+
+    /// Pins the interpreter backend. By default the environment machine
+    /// ([`Backend::Env`]) runs plain programs and the substitution machine
+    /// ([`Backend::Subst`]) runs with [`Self::track_types`] on — the
+    /// well-formedness judgement `⊢ (M, e)` consumes a closed term, which
+    /// only the substitution machine maintains (see
+    /// [`Backend::default_for`]). All backends are observationally
+    /// identical (results *and* statistics).
+    pub fn backend(mut self, backend: Backend) -> Pipeline {
+        self.opts.backend = Some(backend);
+        self
+    }
+
+    /// Base region budget in words: how much mutator allocation fits
+    /// before `ifgc` triggers a collection.
+    pub fn budget(mut self, words: usize) -> Pipeline {
+        self.opts.budget = words;
+        self
+    }
+
+    /// [`Self::budget`] under its pipeline name.
+    pub fn region_budget(self, words: usize) -> Pipeline {
+        self.budget(words)
+    }
+
+    /// Region budget growth policy.
+    pub fn growth(mut self, policy: GrowthPolicy) -> Pipeline {
+        self.opts.growth = policy;
+        self
+    }
+
+    /// Step limit for the run.
+    pub fn fuel(mut self, fuel: u64) -> Pipeline {
+        self.opts.fuel = fuel;
+        self
+    }
+
+    /// Maintains the memory typing `Ψ` while running, enabling
+    /// [`gc_lang::wf::check_state`] (slower; off by default).
+    pub fn track_types(mut self, on: bool) -> Pipeline {
+        self.opts.track_types = on;
+        self
+    }
+
+    /// Typechecks every intermediate program during compilation (on by
+    /// default; they are cheap, only benchmarks turn them off).
+    pub fn check_stages(mut self, on: bool) -> Pipeline {
+        self.opts.check_stages = on;
+        self
+    }
+
+    /// Attaches a telemetry observer; `step_interval > 0` additionally
+    /// emits periodic heap samples (see [`telemetry::GcEvent::Step`]).
+    pub fn observer(mut self, observer: SharedObserver, step_interval: u64) -> Pipeline {
+        self.opts.observer = Some(observer);
+        self.opts.step_interval = step_interval;
+        self
+    }
+
+    /// Run the heap auditor every `n` machine steps (0 = never).
+    pub fn verify_every(mut self, n: u64) -> Pipeline {
+        self.opts.verify_every = n;
+        self
+    }
+
+    /// Arms a deterministic fault plan (fault-injection machinery).
+    /// Chainable: each call adds a plan.
+    pub fn inject(mut self, plan: FaultPlan) -> Pipeline {
+        self.opts.inject.push(plan);
+        self
+    }
+
+    /// Arms several fault plans at once (e.g. from
+    /// [`gc_lang::faults::parse_plans`]).
+    pub fn inject_all(mut self, plans: &[FaultPlan]) -> Pipeline {
+        self.opts.inject.extend_from_slice(plans);
+        self
+    }
+
+    /// Run under the supervisor (checkpoint, restart, triage).
+    pub fn supervise(mut self, on: bool) -> Pipeline {
+        self.opts.supervise = on;
+        self
+    }
+
+    /// Take a machine checkpoint every `n` steps (plus GC boundaries).
+    pub fn checkpoint_every(mut self, n: u64) -> Pipeline {
+        self.opts.checkpoint_every = n;
+        self
+    }
+
+    /// Wall-clock deadline for the run, in milliseconds.
+    pub fn timeout_ms(mut self, ms: u64) -> Pipeline {
+        self.opts.timeout_ms = Some(ms);
+        self
+    }
+
+    /// Hard cap on live heap words.
+    pub fn max_heap_words(mut self, words: usize) -> Pipeline {
+        self.opts.max_heap_words = Some(words);
+        self
+    }
+
+    /// Page size of the BiBOP store, in words.
+    pub fn page_words(mut self, words: usize) -> Pipeline {
+        self.opts.page_words = words;
+        self
+    }
+
+    /// Audit strategy for the periodic heap auditor.
+    pub fn audit(mut self, mode: AuditMode) -> Pipeline {
+        self.opts.audit = mode;
+        self
+    }
+
+    /// The memory configuration machines are loaded with.
+    pub fn config(&self) -> MemConfig {
+        self.opts.mem_config()
+    }
+
+    /// The finished options.
+    pub fn build(self) -> RunOptions {
+        self.opts
+    }
+
+    /// Compiles a source program under the options built so far (see
+    /// [`RunOptions::compile`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`RunOptions::compile`].
+    pub fn compile(&self, source: &str) -> Result<Compiled, PipelineError> {
+        self.opts.compile(source)
+    }
+}
+
+/// A compiled program with its intermediate forms, and the options it
+/// was compiled with ([`Compiled::run`] runs under them).
 #[derive(Clone, Debug)]
 pub struct Compiled {
-    collector: Collector,
-    config: MemConfig,
-    backend: Backend,
-    observer: Option<SharedObserver>,
-    step_interval: u64,
+    opts: RunOptions,
     /// The parsed source program.
     pub source: ps_lambda::syntax::SrcProgram,
     /// The λCLOS intermediate program.
@@ -642,25 +596,25 @@ pub struct Run {
 impl Compiled {
     /// Which collector this program is linked with.
     pub fn collector(&self) -> Collector {
-        self.collector
+        self.opts.collector
     }
 
     /// Which interpreter backend [`Self::run`] uses.
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.opts.resolved_backend()
     }
 
     /// Overrides the interpreter backend for [`Self::run`].
     pub fn with_backend(mut self, backend: Backend) -> Compiled {
-        self.backend = backend;
+        self.opts.backend = Some(backend);
         self
     }
 
     /// Attaches a telemetry observer for [`Self::run`] (see
     /// [`Pipeline::observer`]).
     pub fn with_observer(mut self, observer: SharedObserver, step_interval: u64) -> Compiled {
-        self.observer = Some(observer);
-        self.step_interval = step_interval;
+        self.opts.observer = Some(observer);
+        self.opts.step_interval = step_interval;
         self
     }
 
@@ -677,7 +631,7 @@ impl Compiled {
 
     /// Creates a machine loaded with this program.
     pub fn machine(&self) -> SubstMachine {
-        SubstMachine::load(&self.program, self.config)
+        self.machine_with(self.opts.mem_config())
     }
 
     /// Creates a machine with an explicit memory configuration.
@@ -687,126 +641,65 @@ impl Compiled {
 
     /// Creates an environment-backend machine loaded with this program.
     pub fn env_machine(&self) -> EnvMachine {
-        EnvMachine::load(&self.program, self.config)
+        EnvMachine::load(&self.program, self.opts.mem_config())
     }
 
     /// Creates a machine on the given backend — the uniform,
     /// backend-agnostic constructor (see [`Machine`]).
     pub fn machine_for(&self, backend: Backend) -> Box<dyn Machine> {
-        backend.load(&self.program, self.config)
+        backend.load(&self.program, self.opts.mem_config())
     }
 
-    /// Runs the program to completion on the selected [`Backend`].
+    /// Runs the program to completion under the options it was compiled
+    /// with, for at most `fuel` steps.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_with`].
+    pub fn run(&self, fuel: u64) -> Result<Run, PipelineError> {
+        self.run_with(&RunOptions {
+            fuel,
+            ..self.opts.clone()
+        })
+    }
+
+    /// Runs the program under the given [`RunOptions`] — backend, memory
+    /// settings, fuel, observer and the audit/fault/checkpoint/deadline
+    /// knobs all come from `opts` (its `collector` field is ignored: this
+    /// program is already linked).
     ///
     /// # Errors
     ///
     /// [`PipelineError::Runtime`] on a stuck state (impossible for
-    /// typechecked programs, per progress) or [`PipelineError::OutOfFuel`].
-    pub fn run(&self, fuel: u64) -> Result<Run, PipelineError> {
-        self.run_inner(
-            self.config,
-            self.backend,
-            self.observer.clone(),
-            self.step_interval,
-            fuel,
-            0,
-            AuditMode::default(),
-            &[],
-            0,
-            None,
-        )
-    }
-
-    /// Runs the program under the given [`RunOptions`] — backend, memory
-    /// settings, fuel, and observer all come from `opts` (its `collector`
-    /// field is ignored: this program is already linked).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
+    /// typechecked programs, per progress) or an out-of-memory error,
+    /// [`PipelineError::InvariantViolation`] on a failed audit,
+    /// [`PipelineError::OutOfFuel`] or [`PipelineError::DeadlineExceeded`].
     pub fn run_with(&self, opts: &RunOptions) -> Result<Run, PipelineError> {
-        self.run_inner(
-            opts.mem_config(),
-            opts.resolved_backend(),
-            opts.observer.clone(),
-            opts.step_interval,
-            opts.fuel,
-            opts.verify_every,
-            opts.audit,
-            &opts.inject,
-            opts.checkpoint_every,
-            opts.timeout_ms,
-        )
-    }
-
-    /// Runs the program under the [`gc_lang::supervisor`]: checkpoints at
-    /// GC boundaries and every `opts.checkpoint_every` steps (default 1024
-    /// when left at 0), and on an invariant violation, typed OOM, deadline,
-    /// or panic restores the last good checkpoint and replays on the
-    /// substitution oracle with full per-step auditing to localize the
-    /// first violating step. Infallible by construction: every abort mode
-    /// maps to a [`SupervisedOutcome`] variant rather than an error.
-    pub fn supervise(&self, opts: &RunOptions) -> SupervisedRun {
-        let mut spec = SuperviseSpec::new(opts.resolved_backend(), opts.mem_config(), opts.fuel);
-        spec.verify_every = if opts.verify_every == 0 {
-            64
-        } else {
-            opts.verify_every
-        };
-        spec.audit = opts.audit;
-        spec.faults = opts.inject.clone();
-        spec.observer = opts.observer.clone();
-        spec.step_interval = opts.step_interval;
-        spec.checkpoint_every = if opts.checkpoint_every == 0 {
-            1024
-        } else {
-            opts.checkpoint_every
-        };
-        spec.timeout_ms = opts.timeout_ms;
-        ps_gc_lang::supervisor::supervise(&self.program, &spec)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        config: MemConfig,
-        backend: Backend,
-        observer: Option<SharedObserver>,
-        step_interval: u64,
-        fuel: u64,
-        verify_every: u64,
-        audit: AuditMode,
-        inject: &[FaultPlan],
-        checkpoint_every: u64,
-        timeout_ms: Option<u64>,
-    ) -> Result<Run, PipelineError> {
-        // One uniform path for every backend, via the `Machine` trait —
-        // no per-backend `match` to extend when a fourth backend lands.
-        let mut m = backend.load(&self.program, config);
-        if let Some(obs) = observer {
-            m.set_observer(obs, step_interval);
-        }
-        m.set_verify_every(verify_every);
-        m.set_audit_mode(audit);
-        m.set_fault_plans(inject);
-        m.set_checkpoint_every(checkpoint_every);
-        m.set_deadline(
-            timeout_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-        );
-        let outcome = m.run(fuel).map_err(PipelineError::Runtime)?;
-        let stats = m.stats().clone();
-        let pages = m.memory().page_stats();
+        let mut m = opts.spec(false).load(&self.program);
+        let outcome = m.run(opts.fuel).map_err(PipelineError::Runtime)?;
         match outcome {
             Outcome::Halted(result) => Ok(Run {
                 result,
-                stats,
-                pages,
+                stats: m.stats().clone(),
+                pages: m.memory().page_stats(),
                 unfired_faults: m.pending_faults().to_vec(),
             }),
             Outcome::InvariantViolation(e) => Err(PipelineError::InvariantViolation(e)),
             Outcome::OutOfFuel => Err(PipelineError::OutOfFuel),
             Outcome::DeadlineExceeded => Err(PipelineError::DeadlineExceeded),
         }
+    }
+
+    /// Runs the program under the [`gc_lang::supervisor`]: checkpoints at
+    /// GC boundaries and every `opts.checkpoint_every` steps, and on an
+    /// invariant violation, typed OOM, deadline, or panic restores the last
+    /// good checkpoint and replays on the substitution oracle with full
+    /// per-step auditing to localize the first violating step. Cadences
+    /// left at 0 take the supervisor's defaults ([`SuperviseSpec::new`]).
+    /// Infallible by construction: every abort mode maps to a
+    /// [`SupervisedOutcome`] variant rather than an error.
+    pub fn supervise(&self, opts: &RunOptions) -> SupervisedRun {
+        ps_gc_lang::supervisor::supervise(&self.program, &opts.spec(true))
     }
 
     /// Evaluates the *source* program with the reference evaluator — the
@@ -838,11 +731,15 @@ impl Compiled {
         program: Program,
     ) -> Compiled {
         Compiled {
-            collector,
-            config,
-            backend: Backend::default_for(config.track_types),
-            observer: None,
-            step_interval: 0,
+            opts: RunOptions {
+                collector,
+                budget: config.region_budget,
+                growth: config.growth,
+                track_types: config.track_types,
+                max_heap_words: config.max_heap_words,
+                page_words: config.page_words,
+                ..RunOptions::default()
+            },
             source,
             clos,
             program,

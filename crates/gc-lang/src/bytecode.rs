@@ -54,8 +54,8 @@
 //! points are byte-identical to the substitution oracle). Fusion is
 //! always on; E14 measured it at ~10% of bytecode throughput.
 //!
-//! Telemetry hooks, [`Stats`] counters, error messages, and the
-//! [resolved control view](BcMachine::resolved_control) all mirror the
+//! Telemetry hooks, [`Stats`](crate::machine::Stats) counters, error messages, and the
+//! [resolved control view](crate::machine::Machine::resolved_control) all mirror the
 //! Fig. 5 machine rule for rule; the lockstep differential suite holds all
 //! three backends to that contract.
 //!
@@ -67,20 +67,17 @@ use std::sync::{Arc, RwLock};
 
 use ps_ir::{FxBuildHasher, FxHasher, Symbol};
 
-use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
-use crate::faults::FaultPlan;
+use crate::driver::{Core, CoreState, Driver};
+use crate::error::Result;
 use crate::intern::{
     intern_term, intern_ty, intern_value, tag_fv, ty_fv, value_fv, TermId, TyId, ValId,
 };
-use crate::machine::{widen_psi, AuditMode, Machine, Outcome, Program, Stats, StepOutcome};
-use crate::memory::{MemConfig, Memory};
-use crate::snapshot::{SnapRing, Snapshot};
+use crate::machine::{widen_psi, Outcome, Program, StepOutcome};
+use crate::memory::MemConfig;
+use crate::snapshot::SnapControl;
 use crate::subst::Subst;
-use crate::syntax::{
-    CodeDef, Dialect, Kind, Op, PrimOp, Region, RegionName, Tag, Term, Ty, Value, CD,
-};
+use crate::syntax::{CodeDef, Kind, Op, PrimOp, Region, RegionName, Tag, Term, Ty, Value, CD};
 use crate::tags;
-use crate::telemetry::{SharedObserver, Telemetry};
 
 /// Sentinel scope id for "empty scope chain".
 const NO_SCOPE: u32 = u32::MAX;
@@ -181,7 +178,7 @@ enum VTpl {
     /// Fall back to the generic [`Subst`] path. Used for operands that
     /// contain `Code` literals (substitution descends into the code
     /// definition — far too rare to template). Only ever the *root* of a
-    /// template: [`BcMachine::rv`] dispatches it before instantiating.
+    /// template: [`BcCore::rv`] dispatches it before instantiating.
     Generic,
 }
 
@@ -1070,7 +1067,7 @@ fn compile_main(main: &Term) -> Unit {
 
 /// Compiles one code block. Parameters take the first slots of each file
 /// (tags `0..`, regions `0..`, values `0..`, in declaration order), which
-/// is what [`BcMachine`]'s call sequence writes.
+/// is what [`BcCore`]'s call sequence writes.
 fn compile_def(def: &CodeDef) -> Unit {
     let mut b = UnitBuilder::default();
     let mut sc = NO_SCOPE;
@@ -1098,25 +1095,19 @@ fn compile_def(def: &CodeDef) -> Unit {
 // ---------------------------------------------------------------------------
 
 /// The register-based bytecode machine (see the [module docs](self)).
+pub type BcMachine = Driver<BcCore>;
+
+/// The bytecode backend's core: the shared state plus the compiled code,
+/// the program counter and the register files.
 #[derive(Clone, Debug)]
-pub struct BcMachine {
-    mem: Memory,
+pub struct BcCore {
+    st: CoreState,
     main: Term,
-    dialect: Dialect,
-    stats: Stats,
-    telem: Telemetry,
-    halted: Option<i64>,
-    verify_every: u64,
-    audit_mode: AuditMode,
-    faults: Vec<FaultPlan>,
-    checkpoint_every: u64,
-    deadline: Option<std::time::Instant>,
-    snaps: SnapRing,
     cache: Option<Arc<CodeCache>>,
     /// A `TagApp` unfolding materialized last step, to be executed as an
     /// application this step (costs one step, like the other backends).
     /// Kept as parts — the equivalent `Term::App` is only built (and
-    /// interned) on the rare [`BcMachine::resolved_control`] query.
+    /// interned) on the rare [`Core::resolved_control`] query.
     pending: Option<PendingApp>,
     vals: Vec<Value>,
     tag_regs: Vec<Tag>,
@@ -1146,7 +1137,7 @@ pub struct BcMachine {
 }
 
 /// A point-in-time scope-chain binding captured by a deferred snapshot
-/// ([`BcMachine::snapshot`]): the register payload for one namespace,
+/// ([`Core::capture_control`]): the register payload for one namespace,
 /// cloned (refcount bumps — everything is interned) at checkpoint time and
 /// only assembled into a [`Subst`] if the snapshot is ever resolved.
 enum SnapBind {
@@ -1166,28 +1157,13 @@ struct PendingApp {
     args: Box<[(Value, Option<ValId>)]>,
 }
 
-impl BcMachine {
+impl Core for BcCore {
     /// Loads a program: installs its code blocks in `cd` and schedules the
     /// main term. Compilation to bytecode happens on the first step.
-    pub fn load(program: &Program, config: MemConfig) -> BcMachine {
-        let mut mem = Memory::new(config);
-        for def in &program.code {
-            let ty = def.ty();
-            mem.install_code(Value::Code(Arc::new(def.clone())), ty);
-        }
-        BcMachine {
-            mem,
+    fn load(program: &Program, config: MemConfig) -> BcCore {
+        BcCore {
+            st: CoreState::load(program, config),
             main: program.main.clone(),
-            dialect: program.dialect,
-            stats: Stats::default(),
-            telem: Telemetry::default(),
-            halted: None,
-            verify_every: 0,
-            audit_mode: AuditMode::default(),
-            faults: Vec::new(),
-            checkpoint_every: 0,
-            deadline: None,
-            snaps: SnapRing::new(),
             cache: None,
             pending: None,
             vals: Vec::new(),
@@ -1205,144 +1181,110 @@ impl BcMachine {
         }
     }
 
-    /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples.
-    pub fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        self.telem.attach(observer, step_interval);
+    #[inline]
+    fn state(&self) -> &CoreState {
+        &self.st
     }
 
-    /// The current memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
+    #[inline]
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.st
     }
 
-    /// Mutable access to the memory — **fault-injection machinery**.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Audits the heap every `n` steps during [`BcMachine::run`]
-    /// (`0` disables auditing, the default).
-    pub fn set_verify_every(&mut self, n: u64) {
-        self.verify_every = n;
-    }
-
-    /// Chooses how periodic audits walk the heap (default: incremental).
-    pub fn set_audit_mode(&mut self, mode: AuditMode) {
-        self.audit_mode = mode;
-    }
-
-    /// Arms deterministic faults to be injected during [`BcMachine::run`]
-    /// once each plan's step is reached (**fault-injection machinery**).
-    pub fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        self.faults = plans.to_vec();
-    }
-
-    /// Captures a checkpoint every `n` steps and at every collection
-    /// boundary during [`BcMachine::run`] (`0` disables, the default).
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Sets (or clears) the wall-clock deadline for [`BcMachine::run`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Captures a checkpoint of the current state. The control is captured
-    /// *resolved* (register file substituted in), so the snapshot restores
-    /// into any backend — but the resolution itself is deferred: the
-    /// checkpoint stores the raw scope-chain bindings (point-in-time
-    /// register clones, all interned — one `Vec`, no map construction) and
-    /// the source term id, and the closed term is only built if the
-    /// snapshot is ever restored or triaged.
-    pub fn snapshot(&self) -> Snapshot {
-        if self.pending.is_none() {
-            if let Some(cache) = &self.cache {
-                let unit = &cache.units[self.unit as usize];
-                let (src, scope) = match unit.instrs.get(self.pc as usize) {
-                    Some(Instr::Lets(ms)) => {
-                        let m = &ms[self.sub as usize];
-                        (m.src, m.scope)
-                    }
-                    _ => {
-                        let m = &unit.metas[self.pc as usize];
-                        (m.src, m.scope)
-                    }
-                };
-                // Innermost-first, mirroring the chain walk of
-                // `scope_subst`; the closure rebinds outermost-first so
-                // shadowing resolves identically.
-                let mut binds: Vec<(Symbol, SnapBind)> = Vec::new();
-                let mut s = scope;
-                while s != NO_SCOPE {
-                    let n = &unit.scopes[s as usize];
-                    let b = match n.ns {
-                        Ns::Val => SnapBind::Val(self.vals[n.slot as usize].clone()),
-                        Ns::Tag => SnapBind::Tag(self.tag_regs[n.slot as usize].clone()),
-                        Ns::Rgn => SnapBind::Rgn(self.rgn_regs[n.slot as usize]),
-                        Ns::Alpha => SnapBind::Alpha(self.alpha_regs[n.slot as usize].clone()),
-                    };
-                    binds.push((n.sym, b));
-                    s = n.parent;
-                }
-                return Snapshot::capture_deferred(
-                    move || {
-                        let mut sub = Subst::new();
-                        for (sym, b) in binds.iter().rev() {
-                            match b {
-                                SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
-                                SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
-                                SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
-                                SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
-                            }
-                        }
-                        sub.term(&src)
-                    },
-                    self.dialect,
-                    self.mem.clone(),
-                    self.stats.clone(),
-                    self.halted,
-                    self.faults.clone(),
-                    self.telem.phase_state(),
-                );
+    /// Takes one machine step (one λGC reduction rule; a fused chain still
+    /// steps through its micro-ops one at a time).
+    #[inline]
+    fn step(&mut self) -> Result<StepOutcome> {
+        if let Some(n) = self.st.halted {
+            return Ok(StepOutcome::Halted(n));
+        }
+        self.ensure_compiled();
+        self.st.stats.steps += 1;
+        self.st.telem.on_step(self.st.stats.steps, &self.st.mem);
+        let continued = self.exec_one()?;
+        if continued {
+            self.st.stats.peak_data_words =
+                self.st.stats.peak_data_words.max(self.st.mem.data_words());
+            Ok(StepOutcome::Continue)
+        } else {
+            match self.st.halted {
+                Some(n) => Ok(StepOutcome::Halted(n)),
+                None => Err(self
+                    .st
+                    .stuck("step ended without a term or a halt value".into())),
             }
         }
-        Snapshot::capture(
-            self.resolved_control(),
-            self.dialect,
-            self.mem.clone(),
-            self.stats.clone(),
-            self.halted,
-            self.faults.clone(),
-            self.telem.phase_state(),
-        )
     }
 
-    /// Restores a checkpoint captured by any backend; see
-    /// [`Machine::restore`] for the contract. The snapshot's closed control
-    /// becomes the new main term and the bytecode cache is rebuilt lazily
-    /// on the next step (code blocks live in `cd`, which the captured
-    /// memory image carries).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Dialect`] error on a dialect mismatch.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.dialect() != self.dialect {
-            return Err(dialect_err(format!(
-                "snapshot dialect {} does not match machine dialect {}",
-                snap.dialect(),
-                self.dialect
-            )));
+    /// The control term with every register binding substituted in: a
+    /// closed term structurally identical to the substitution machine's
+    /// state at the same step. Built by walking the current instruction's
+    /// compile-time scope chain and substituting register contents —
+    /// the inverse of the slot resolution the compiler performed.
+    fn resolved_control(&self) -> Term {
+        if let Some(p) = &self.pending {
+            return Term::App {
+                f: p.f.clone(),
+                tags: p.tags.to_vec(),
+                regions: p.regions.to_vec(),
+                args: p.args.iter().map(|(v, _)| v.clone()).collect(),
+            };
         }
-        self.mem = snap.memory().clone();
-        self.main = snap.control().clone();
-        self.stats = snap.stats().clone();
-        self.halted = snap.halted();
-        self.faults = snap.pending_faults().to_vec();
-        self.telem.restore_phase(snap.telemetry_phase());
-        self.snaps.clear();
+        let Some(cache) = &self.cache else {
+            return self.main.clone();
+        };
+        let unit = &cache.units[self.unit as usize];
+        let (src, scope) = self.site(unit);
+        self.scope_subst(unit, scope).term(&src)
+    }
+
+    /// The control is captured *resolved* (register file substituted in),
+    /// so the snapshot restores into any backend — but the resolution
+    /// itself is deferred: the checkpoint stores the raw scope-chain
+    /// bindings (point-in-time register clones, all interned — one `Vec`,
+    /// no map construction) and the source term id, and the closed term is
+    /// only built if the snapshot is ever restored or triaged.
+    fn capture_control(&self) -> SnapControl {
+        let cache = match (&self.pending, &self.cache) {
+            (None, Some(cache)) => cache,
+            _ => return SnapControl::ready(self.resolved_control()),
+        };
+        let unit = &cache.units[self.unit as usize];
+        let (src, scope) = self.site(unit);
+        // Innermost-first, mirroring the chain walk of `scope_subst`; the
+        // closure rebinds outermost-first so shadowing resolves identically.
+        let mut binds: Vec<(Symbol, SnapBind)> = Vec::new();
+        let mut s = scope;
+        while s != NO_SCOPE {
+            let n = &unit.scopes[s as usize];
+            let b = match n.ns {
+                Ns::Val => SnapBind::Val(self.vals[n.slot as usize].clone()),
+                Ns::Tag => SnapBind::Tag(self.tag_regs[n.slot as usize].clone()),
+                Ns::Rgn => SnapBind::Rgn(self.rgn_regs[n.slot as usize]),
+                Ns::Alpha => SnapBind::Alpha(self.alpha_regs[n.slot as usize].clone()),
+            };
+            binds.push((n.sym, b));
+            s = n.parent;
+        }
+        SnapControl::deferred(move || {
+            let mut sub = Subst::new();
+            for (sym, b) in binds.iter().rev() {
+                match b {
+                    SnapBind::Val(v) => sub.bind_val(*sym, v.clone()),
+                    SnapBind::Tag(t) => sub.bind_tag(*sym, t.clone()),
+                    SnapBind::Rgn(r) => sub.bind_rgn(*sym, *r),
+                    SnapBind::Alpha(a) => sub.bind_alpha(*sym, a.clone()),
+                }
+            }
+            sub.term(&src)
+        })
+    }
+
+    /// The closed control becomes the new main term and the bytecode cache
+    /// is rebuilt lazily on the next step (code blocks live in `cd`, which
+    /// the restored memory image carries).
+    fn restore_control(&mut self, control: &Term) {
+        self.main = control.clone();
         // Invalidate every compilation artifact: the restored control is a
         // fresh entry unit, and stale register/ty-cache contents must not
         // leak across the restore (the closed control writes every slot it
@@ -1356,208 +1298,28 @@ impl BcMachine {
         for id in &mut self.val_ids {
             *id = None;
         }
-        Ok(())
     }
 
-    /// The dialect this machine runs.
-    pub fn dialect(&self) -> Dialect {
-        self.dialect
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The halt value, if the machine has halted.
-    pub fn halted(&self) -> Option<i64> {
-        self.halted
-    }
-
-    /// The control term with every register binding substituted in: a
-    /// closed term structurally identical to the substitution machine's
-    /// state at the same step. Built by walking the current instruction's
-    /// compile-time scope chain and substituting register contents —
-    /// the inverse of the slot resolution the compiler performed.
-    pub fn resolved_control(&self) -> Term {
-        if let Some(p) = &self.pending {
-            return Term::App {
-                f: p.f.clone(),
-                tags: p.tags.to_vec(),
-                regions: p.regions.to_vec(),
-                args: p.args.iter().map(|(v, _)| v.clone()).collect(),
-            };
-        }
-        let Some(cache) = &self.cache else {
-            return self.main.clone();
-        };
-        let unit = &cache.units[self.unit as usize];
-        let (src, scope) = match unit.instrs.get(self.pc as usize) {
-            Some(Instr::Lets(ms)) => {
-                let m = &ms[self.sub as usize];
-                (m.src, m.scope)
-            }
-            _ => {
-                let m = &unit.metas[self.pc as usize];
-                (m.src, m.scope)
-            }
-        };
-        let sub = self.scope_subst(unit, scope);
-        sub.term(&src)
-    }
-
-    /// Runs the [`crate::verify`] heap auditor against the current state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated Fig. 7 invariant.
-    pub fn audit(&self) -> Result<()> {
-        let root = self.resolved_control();
-        crate::verify::audit_state(&self.mem, self.dialect, &root)
-    }
-
-    /// Runs until `halt`, an error, or `fuel` steps — same contract and
-    /// same audit/fault-injection cadence as the other backends.
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state error if no reduction rule applies, or an
-    /// [`ErrorKind::OutOfMemory`] error if an allocation would exceed
-    /// [`MemConfig::max_heap_words`].
-    pub fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        // With no fault plan, no audit cadence, and no observer, nothing
-        // can see intermediate per-step state, so the dispatch loop drops
-        // the per-step hook checks and executes fused `Lets` chains one
-        // whole chain per dispatch (the payoff of superinstruction
-        // fusion). Statistics are accounted per counted step either way,
-        // so `Stats` stay byte-identical to the substitution oracle.
-        if self.faults.is_empty() && self.verify_every == 0 && !self.telem.is_enabled() {
-            if self.checkpoint_every == 0 && self.deadline.is_none() {
-                return self.run_fast(fuel);
-            }
-            return self.run_fast_chunked(fuel);
-        }
-        // The next interval-checkpoint step, derived once: the loop below
-        // runs per step, so a compare-and-bump replaces a per-step modulo.
-        let mut next_cp = match self.checkpoint_every {
-            0 => u64::MAX,
-            n => self.stats.steps - self.stats.steps % n + n,
-        };
-        for _ in 0..fuel {
-            let cols = self.stats.collections;
-            match self.step() {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
-                Err(e) => {
-                    if e.kind() == ErrorKind::OutOfMemory {
-                        let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                        self.telem
-                            .on_oom(self.stats.steps, self.mem.data_words(), limit);
-                    }
-                    return Err(e);
-                }
-            }
-            self.try_inject();
-            if self.verify_every > 0 && self.stats.steps.is_multiple_of(self.verify_every) {
-                let full = self.audit_mode == AuditMode::Full || self.mem.wants_full_audit();
-                let res = if full {
-                    let r = self.audit();
-                    if r.is_ok() {
-                        self.mem.note_full_audit();
-                    }
-                    r
-                } else {
-                    crate::verify::audit_dirty(&mut self.mem, self.dialect)
-                };
-                if let Err(e) = res {
-                    self.telem
-                        .on_invariant_violation(self.stats.steps, &e.to_string());
-                    return Ok(Outcome::InvariantViolation(e));
-                }
-            }
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols || self.stats.steps >= next_cp)
-            {
-                if self.stats.steps >= next_cp {
-                    next_cp += self.checkpoint_every;
-                }
-                self.telem.on_snapshot(self.stats.steps, &self.mem);
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if self.stats.steps & 1023 == 0 && std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-        }
-        self.telem.on_fuel_exhausted(self.stats.steps);
-        Ok(Outcome::OutOfFuel)
-    }
-
-    /// The unobserved loop with only checkpoints and/or a deadline armed:
-    /// [`Self::run_fast`] in bounded bursts, pausing exactly at the next
-    /// checkpoint step (and at least every 1024 steps under a deadline).
-    /// With no observer there are no telemetry events to place, so the
-    /// full fused-dispatch speed is kept; the one concession is that a
-    /// collection inside a burst gets its boundary checkpoint at the end
-    /// of the burst — never more than one interval late — rather than at
-    /// the boundary step itself.
-    fn run_fast_chunked(&mut self, fuel: u64) -> Result<Outcome> {
-        let mut left = fuel;
-        loop {
-            let to_checkpoint = if self.checkpoint_every > 0 {
-                self.checkpoint_every - (self.stats.steps % self.checkpoint_every)
-            } else {
-                u64::MAX
-            };
-            let to_deadline_poll = if self.deadline.is_some() {
-                1024
-            } else {
-                u64::MAX
-            };
-            let chunk = left.min(to_checkpoint).min(to_deadline_poll);
-            let cols = self.stats.collections;
-            match self.run_fast(chunk)? {
-                Outcome::OutOfFuel => {}
-                done => return Ok(done),
-            }
-            left -= chunk;
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols
-                    || self.stats.steps.is_multiple_of(self.checkpoint_every))
-            {
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-            if left == 0 {
-                return Ok(Outcome::OutOfFuel);
-            }
-        }
-    }
+    const FAST_PATH: bool = true;
 
     /// The unobserved dispatch loop: per-step hooks are provably no-ops,
     /// so each iteration is just dispatch + statistics. Fused chains
     /// execute back-to-back micro-ops without re-entering the dispatch
-    /// match, one counted step (and one unit of fuel) per micro-op.
+    /// match — one whole chain per dispatch, the payoff of
+    /// superinstruction fusion — one counted step (and one unit of fuel)
+    /// per micro-op, so `Stats` stay byte-identical to the oracle.
     fn run_fast(&mut self, fuel: u64) -> Result<Outcome> {
-        if let Some(n) = self.halted {
+        if let Some(n) = self.st.halted {
             return Ok(Outcome::Halted(n));
         }
         self.ensure_compiled();
         let mut cache = match self.cache.take() {
             Some(c) => c,
-            None => return Err(self.stuck("bytecode cache missing".into())),
+            None => return Err(self.st.stuck("bytecode cache missing".into())),
         };
         let mut left = fuel;
         let out = loop {
             if left == 0 {
-                self.telem.on_fuel_exhausted(self.stats.steps);
                 break Ok(Outcome::OutOfFuel);
             }
             if self.pending.is_none() {
@@ -1567,7 +1329,7 @@ impl BcMachine {
                     let mut err = None;
                     while sub < end {
                         let m = &ms[sub as usize];
-                        self.stats.steps += 1;
+                        self.st.stats.steps += 1;
                         left -= 1;
                         match self.eval_micro(&m.op) {
                             Ok((v, id)) => self.set_val(m.dst, v, id),
@@ -1576,8 +1338,8 @@ impl BcMachine {
                                 break;
                             }
                         }
-                        self.stats.peak_data_words =
-                            self.stats.peak_data_words.max(self.mem.data_words());
+                        self.st.stats.peak_data_words =
+                            self.st.stats.peak_data_words.max(self.st.mem.data_words());
                         sub += 1;
                     }
                     if sub == ms.len() as u32 {
@@ -1592,81 +1354,44 @@ impl BcMachine {
                     continue;
                 }
             }
-            self.stats.steps += 1;
+            self.st.stats.steps += 1;
             left -= 1;
             match self.exec_with(&mut cache) {
                 Ok(true) => {
-                    self.stats.peak_data_words =
-                        self.stats.peak_data_words.max(self.mem.data_words());
+                    self.st.stats.peak_data_words =
+                        self.st.stats.peak_data_words.max(self.st.mem.data_words());
                 }
-                Ok(false) => match self.halted {
+                Ok(false) => match self.st.halted {
                     Some(n) => break Ok(Outcome::Halted(n)),
                     None => {
-                        break Err(self.stuck("step ended without a term or a halt value".into()))
+                        break Err(self
+                            .st
+                            .stuck("step ended without a term or a halt value".into()))
                     }
                 },
                 Err(e) => break Err(e),
             }
         };
         self.cache = Some(cache);
-        match out {
-            Err(e) => {
-                if e.kind() == ErrorKind::OutOfMemory {
-                    let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                    self.telem
-                        .on_oom(self.stats.steps, self.mem.data_words(), limit);
+        out
+    }
+}
+
+impl BcCore {
+    /// The source term and compile-time scope of the current instruction
+    /// (or of the current micro-op inside a fused chain).
+    fn site(&self, unit: &Unit) -> (TermId, u32) {
+        let m = match unit.instrs.get(self.pc as usize) {
+            Some(Instr::Lets(ms)) => {
+                let m = &ms[self.sub as usize];
+                InstrMeta {
+                    src: m.src,
+                    scope: m.scope,
                 }
-                Err(e)
             }
-            ok => ok,
-        }
-    }
-
-    fn try_inject(&mut self) {
-        if self.faults.is_empty() || self.faults.iter().all(|p| self.stats.steps < p.step) {
-            return;
-        }
-        let root = self.resolved_control();
-        let mut i = 0;
-        while i < self.faults.len() {
-            let plan = self.faults[i];
-            if self.stats.steps >= plan.step
-                && crate::faults::apply(&plan, &mut self.mem, &root).is_some()
-            {
-                self.faults.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Takes one machine step (one λGC reduction rule; a fused chain still
-    /// steps through its micro-ops one at a time).
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state or memory error if no rule applies.
-    pub fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.halted {
-            return Ok(StepOutcome::Halted(n));
-        }
-        self.ensure_compiled();
-        self.stats.steps += 1;
-        self.telem.on_step(self.stats.steps, &self.mem);
-        let continued = self.exec_one()?;
-        if continued {
-            self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
-            Ok(StepOutcome::Continue)
-        } else {
-            match self.halted {
-                Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
-            }
-        }
-    }
-
-    fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+            _ => unit.metas[self.pc as usize],
+        };
+        (m.src, m.scope)
     }
 
     fn ensure_compiled(&mut self) {
@@ -1677,7 +1402,7 @@ impl BcMachine {
             units: vec![compile_main(&self.main)],
             by_def: HashMap::default(),
         };
-        if let Some(cd) = self.mem.region(CD) {
+        if let Some(cd) = self.st.mem.region(CD) {
             for (_, v) in cd.iter() {
                 if let Value::Code(def) = v {
                     let u = cache.units.len() as u32;
@@ -2048,7 +1773,7 @@ impl BcMachine {
     fn rname(&self, op: &RgnOp) -> Result<RegionName> {
         match self.rrgn(op) {
             Region::Name(nu) => Ok(nu),
-            Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
+            Region::Var(r) => Err(self.st.stuck(format!("unsubstituted region variable {r}"))),
         }
     }
 
@@ -2084,7 +1809,7 @@ impl BcMachine {
     fn exec_one(&mut self) -> Result<bool> {
         let mut cache = match self.cache.take() {
             Some(c) => c,
-            None => return Err(self.stuck("bytecode cache missing".into())),
+            None => return Err(self.st.stuck("bytecode cache missing".into())),
         };
         let r = self.exec_with(&mut cache);
         self.cache = Some(cache);
@@ -2116,11 +1841,11 @@ impl BcMachine {
                 let fv = self.rv(f);
                 match fv {
                     Value::Addr(nu, loc) => {
-                        let code = match self.mem.get(nu, loc)? {
+                        let code = match self.st.mem.get(nu, loc)? {
                             Value::Code(def) => Arc::clone(def),
                             other => {
                                 let msg = format!("application of non-code value {other:?}");
-                                return Err(self.stuck(msg));
+                                return Err(self.st.stuck(msg));
                             }
                         };
                         self.check_arity(&code, ts.len(), rgns.len(), args.len())?;
@@ -2165,22 +1890,28 @@ impl BcMachine {
                         });
                         Ok(true)
                     }
-                    other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+                    other => Err(self
+                        .st
+                        .stuck(format!("application of non-code value {other:?}"))),
                 }
             }
             Instr::Halt(v) => match self.rv(v) {
                 Value::Int(n) => {
-                    self.halted = Some(n);
-                    self.telem.on_halt(n, self.stats.steps);
+                    self.st.halted = Some(n);
+                    self.st.telem.on_halt(n, self.st.stats.steps);
                     Ok(false)
                 }
-                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("halt on non-integer value {other:?}"))),
             },
             Instr::IfGc { r, full, cont } => {
                 let nu = self.rname(r)?;
-                if self.mem.is_full(nu)? {
-                    self.stats.gc_triggers += 1;
-                    self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+                if self.st.mem.is_full(nu)? {
+                    self.st.stats.gc_triggers += 1;
+                    self.st
+                        .telem
+                        .on_gc_trigger(nu, &self.st.mem, self.st.stats.steps);
                     self.pc = *full;
                 } else {
                     self.pc = *cont;
@@ -2202,7 +1933,7 @@ impl BcMachine {
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("open(tag) on non-package {other:?}"))),
+                other => Err(self.st.stuck(format!("open(tag) on non-package {other:?}"))),
             },
             Instr::OpenAlpha { pkg, adst, vdst } => match self.rv(pkg) {
                 Value::PackAlpha { witness, val, .. } => {
@@ -2211,14 +1942,14 @@ impl BcMachine {
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("open(α) on non-package {other:?}"))),
+                other => Err(self.st.stuck(format!("open(α) on non-package {other:?}"))),
             },
             Instr::OpenRgn { pkg, rdst, vdst } => match self.rv(pkg) {
                 Value::PackRgn { witness, val, .. } => {
                     let nu = match witness {
                         Region::Name(nu) => nu,
                         Region::Var(r) => {
-                            return Err(self.stuck(format!("unsubstituted region variable {r}")))
+                            return Err(self.st.stuck(format!("unsubstituted region variable {r}")))
                         }
                     };
                     self.rgn_regs[*rdst as usize] = Region::Name(nu);
@@ -2226,12 +1957,16 @@ impl BcMachine {
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("open(region) on non-package {other:?}"))),
             },
             Instr::LetRegion { rdst } => {
-                let nu = self.mem.alloc_region();
-                self.stats.regions_created += 1;
-                self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+                let nu = self.st.mem.alloc_region();
+                self.st.stats.regions_created += 1;
+                self.st
+                    .telem
+                    .on_region_alloc(nu, &self.st.mem, self.st.stats.steps);
                 self.rgn_regs[*rdst as usize] = Region::Name(nu);
                 self.pc += 1;
                 Ok(true)
@@ -2241,9 +1976,11 @@ impl BcMachine {
                 for r in keep.iter() {
                     names.push(self.rname(r)?);
                 }
-                let report = self.mem.only(&names);
-                self.telem.on_only(&report, &self.mem, self.stats.steps);
-                self.stats.record_reclaim(report);
+                let report = self.st.mem.only(&names);
+                self.st
+                    .telem
+                    .on_only(&report, &self.st.mem, self.st.stats.steps);
+                self.st.stats.record_reclaim(report);
                 self.pc += 1;
                 Ok(true)
             }
@@ -2257,7 +1994,7 @@ impl BcMachine {
                 tedst,
                 exist_arm,
             } => {
-                self.stats.typecase_dispatches += 1;
+                self.st.stats.typecase_dispatches += 1;
                 let nf = self.rtag_nf(tag);
                 match nf {
                     Tag::Int => {
@@ -2279,7 +2016,9 @@ impl BcMachine {
                         self.pc = *exist_arm;
                         Ok(true)
                     }
-                    other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
+                    other => Err(self
+                        .st
+                        .stuck(format!("typecase on non-constructor tag {other:?}"))),
                 }
             }
             Instr::IfLeft {
@@ -2300,18 +2039,18 @@ impl BcMachine {
                         self.pc = *right;
                         Ok(true)
                     }
-                    other => Err(self.stuck(format!("ifleft on non-sum value {other:?}"))),
+                    other => Err(self.st.stuck(format!("ifleft on non-sum value {other:?}"))),
                 }
             }
             Instr::Set { dst, src } => match self.rv(dst) {
                 Value::Addr(nu, loc) => {
                     let v = self.rv(src);
-                    self.mem.set(nu, loc, v)?;
-                    self.stats.forwarding_installs += 1;
+                    self.st.mem.set(nu, loc, v)?;
+                    self.st.stats.forwarding_installs += 1;
                     self.pc += 1;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("set on non-address {other:?}"))),
+                other => Err(self.st.stuck(format!("set on non-address {other:?}"))),
             },
             Instr::Widen {
                 dst,
@@ -2324,11 +2063,11 @@ impl BcMachine {
                 // is rewritten when tracked.
                 let id = self.rvid_opt(v);
                 let rv = self.rv(v);
-                if self.mem.config().track_types {
+                if self.st.mem.config().track_types {
                     let from = self.rname(from)?;
                     let to = self.rname(to)?;
                     let nf = self.rtag_nf(tag);
-                    widen_psi(&mut self.mem, &rv, &nf, from, to)?;
+                    widen_psi(&mut self.st.mem, &rv, &nf, from, to)?;
                 }
                 self.set_val(*dst, rv, id);
                 self.pc += 1;
@@ -2353,7 +2092,7 @@ impl BcMachine {
                     self.pc = *nonzero;
                     Ok(true)
                 }
-                other => Err(self.stuck(format!("if0 on non-integer {other:?}"))),
+                other => Err(self.st.stuck(format!("if0 on non-integer {other:?}"))),
             },
         }
     }
@@ -2364,11 +2103,11 @@ impl BcMachine {
     fn exec_pending(&mut self, cache: &mut Arc<CodeCache>, p: PendingApp) -> Result<bool> {
         match p.f {
             Value::Addr(nu, loc) => {
-                let code = match self.mem.get(nu, loc)? {
+                let code = match self.st.mem.get(nu, loc)? {
                     Value::Code(def) => Arc::clone(def),
                     other => {
                         let msg = format!("application of non-code value {other:?}");
-                        return Err(self.stuck(msg));
+                        return Err(self.st.stuck(msg));
                     }
                 };
                 self.check_arity(&code, p.tags.len(), p.regions.len(), p.args.len())?;
@@ -2393,13 +2132,15 @@ impl BcMachine {
                 });
                 Ok(true)
             }
-            other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+            other => Err(self
+                .st
+                .stuck(format!("application of non-code value {other:?}"))),
         }
     }
 
     fn check_arity(&self, code: &CodeDef, nt: usize, nr: usize, na: usize) -> Result<()> {
         if code.tvars.len() != nt || code.rvars.len() != nr || code.params.len() != na {
-            return Err(self.stuck(format!(
+            return Err(self.st.stuck(format!(
                 "arity mismatch calling {}: expected [{}][{}]({}), got [{}][{}]({})",
                 code.name,
                 code.tvars.len(),
@@ -2484,7 +2225,9 @@ impl BcMachine {
                             let id = if *i == 1 { *a } else { *b };
                             Ok((id.node().clone(), Some(id)))
                         }
-                        other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                        other => Err(self
+                            .st
+                            .stuck(format!("projection π{i} of non-pair {other:?}"))),
                     };
                 }
                 match self.rv(v) {
@@ -2492,7 +2235,9 @@ impl BcMachine {
                         let id = if *i == 1 { a } else { b };
                         Ok((id.node().clone(), Some(id)))
                     }
-                    other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                    other => Err(self
+                        .st
+                        .stuck(format!("projection π{i} of non-pair {other:?}"))),
                 }
             }
             MicroOp::Put(r, v) => {
@@ -2506,89 +2251,31 @@ impl BcMachine {
                 Ok((self.do_put(nu, v)?, None))
             }
             MicroOp::Get(v) => match self.rv(v) {
-                Value::Addr(nu, loc) => Ok((self.mem.get(nu, loc)?.clone(), None)),
-                other => Err(self.stuck(format!("get of non-address {other:?}"))),
+                Value::Addr(nu, loc) => Ok((self.st.mem.get(nu, loc)?.clone(), None)),
+                other => Err(self.st.stuck(format!("get of non-address {other:?}"))),
             },
             MicroOp::Strip(v) => match self.rv(v) {
                 Value::Inl(x) | Value::Inr(x) => Ok((x.node().clone(), Some(x))),
-                other => Err(self.stuck(format!("strip of untagged value {other:?}"))),
+                other => Err(self.st.stuck(format!("strip of untagged value {other:?}"))),
             },
             MicroOp::Prim(p, a, b) => match (self.rv(a), self.rv(b)) {
                 (Value::Int(x), Value::Int(y)) => Ok((Value::Int(p.apply(x, y)), None)),
-                (a, b) => Err(self.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
+                (a, b) => Err(self
+                    .st
+                    .stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
             },
         }
     }
 
     fn do_put(&mut self, nu: RegionName, v: Value) -> Result<Value> {
-        let rec = self.mem.put_counted(nu, v)?;
-        self.stats.allocations += 1;
-        self.stats.words_allocated += rec.words as u64;
+        let rec = self.st.mem.put_counted(nu, v)?;
+        self.st.stats.allocations += 1;
+        self.st.stats.words_allocated += rec.words as u64;
         if let Some(alloc) = rec.page {
-            self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+            self.st.telem.on_page_alloc(nu, alloc, self.st.stats.steps);
         }
-        self.telem.on_put(nu, rec.words, self.stats.steps);
+        self.st.telem.on_put(nu, rec.words, self.st.stats.steps);
         Ok(Value::Addr(nu, rec.loc))
-    }
-}
-
-impl Machine for BcMachine {
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        BcMachine::set_observer(self, observer, step_interval);
-    }
-    fn set_verify_every(&mut self, n: u64) {
-        BcMachine::set_verify_every(self, n);
-    }
-    fn set_audit_mode(&mut self, mode: AuditMode) {
-        BcMachine::set_audit_mode(self, mode);
-    }
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        BcMachine::set_fault_plans(self, plans);
-    }
-    fn pending_faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-    fn set_checkpoint_every(&mut self, n: u64) {
-        BcMachine::set_checkpoint_every(self, n);
-    }
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        BcMachine::set_deadline(self, deadline);
-    }
-    fn snapshots(&self) -> &[Snapshot] {
-        self.snaps.as_slice()
-    }
-    fn snapshot(&self) -> Snapshot {
-        BcMachine::snapshot(self)
-    }
-    fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        BcMachine::restore(self, snap)
-    }
-    fn memory(&self) -> &Memory {
-        BcMachine::memory(self)
-    }
-    fn memory_mut(&mut self) -> &mut Memory {
-        BcMachine::memory_mut(self)
-    }
-    fn dialect(&self) -> Dialect {
-        BcMachine::dialect(self)
-    }
-    fn stats(&self) -> &Stats {
-        BcMachine::stats(self)
-    }
-    fn halted(&self) -> Option<i64> {
-        BcMachine::halted(self)
-    }
-    fn resolved_control(&self) -> Term {
-        BcMachine::resolved_control(self)
-    }
-    fn audit(&self) -> Result<()> {
-        BcMachine::audit(self)
-    }
-    fn step(&mut self) -> Result<StepOutcome> {
-        BcMachine::step(self)
-    }
-    fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        BcMachine::run(self, fuel)
     }
 }
 
@@ -2824,9 +2511,9 @@ fn fmt_value(v: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Backend;
+    use crate::machine::{Backend, Machine};
     use crate::memory::GrowthPolicy;
-    use crate::syntax::Kind;
+    use crate::syntax::{Dialect, Kind};
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)

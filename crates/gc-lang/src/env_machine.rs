@@ -30,9 +30,10 @@
 //! first), so [`Subst`]'s capture-avoidance never renames a binder and
 //! simultaneous application coincides with the substitution machine's
 //! sequential application. Consequently both backends produce identical
-//! heap contents, identical results, and identical [`Stats`] — checked
-//! program-by-program by the differential test suite and step-for-step by
-//! the lockstep property test.
+//! heap contents, identical results, and identical
+//! [`Stats`](crate::machine::Stats) — checked program-by-program by the
+//! differential test suite and step-for-step by the lockstep property
+//! test.
 //!
 //! The substitution machine remains the oracle for `track_types`/wf
 //! checking: the well-formedness judgement `⊢ (M, e)` of [`crate::wf`]
@@ -41,16 +42,15 @@
 
 use std::sync::Arc;
 
-use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
-use crate::faults::FaultPlan;
+use crate::driver::{Core, CoreState, Driver};
+use crate::error::Result;
 use crate::intern::{intern_term, TermId};
-use crate::machine::{widen_psi, AuditMode, Outcome, Program, Stats, StepOutcome};
-use crate::memory::{MemConfig, Memory};
-use crate::snapshot::{SnapRing, Snapshot};
+use crate::machine::{widen_psi, Program, StepOutcome};
+use crate::memory::MemConfig;
+use crate::snapshot::SnapControl;
 use crate::subst::Subst;
-use crate::syntax::{CodeDef, Dialect, Op, Region, RegionName, Tag, Term, Value};
+use crate::syntax::{CodeDef, Op, Region, RegionName, Tag, Term, Value};
 use crate::tags;
-use crate::telemetry::{SharedObserver, Telemetry};
 
 /// The control of the machine: a shared handle to the term being reduced.
 ///
@@ -71,318 +71,95 @@ impl Ctrl {
     }
 }
 
-/// The environment-machine state: `(M, e, E)` where `E` maps the free
+/// The environment machine: `(M, e, E)` where `E` maps the free
 /// variables of `e` to closed values/tags/regions/types.
+pub type EnvMachine = Driver<EnvCore>;
+
+/// The environment backend's core: the shared state plus the control and
+/// its environment.
 #[derive(Clone, Debug)]
-pub struct EnvMachine {
-    mem: Memory,
+pub struct EnvCore {
+    st: CoreState,
     control: Ctrl,
     env: Subst,
-    dialect: Dialect,
-    stats: Stats,
-    telem: Telemetry,
-    halted: Option<i64>,
-    verify_every: u64,
-    audit_mode: AuditMode,
-    faults: Vec<FaultPlan>,
-    checkpoint_every: u64,
-    deadline: Option<std::time::Instant>,
-    snaps: SnapRing,
 }
 
-impl EnvMachine {
-    /// Loads a program: installs its code blocks in `cd` and sets the main
-    /// term as the current control.
-    pub fn load(program: &Program, config: MemConfig) -> EnvMachine {
-        let mut mem = Memory::new(config);
-        for def in &program.code {
-            let ty = def.ty();
-            mem.install_code(Value::Code(Arc::new(def.clone())), ty);
-        }
-        EnvMachine {
-            mem,
+impl Core for EnvCore {
+    fn load(program: &Program, config: MemConfig) -> EnvCore {
+        EnvCore {
+            st: CoreState::load(program, config),
             control: Ctrl::Term(program.main.id()),
             env: Subst::new(),
-            dialect: program.dialect,
-            stats: Stats::default(),
-            telem: Telemetry::default(),
-            halted: None,
-            verify_every: 0,
-            audit_mode: AuditMode::default(),
-            faults: Vec::new(),
-            checkpoint_every: 0,
-            deadline: None,
-            snaps: SnapRing::new(),
         }
     }
 
-    /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples. Without an observer every telemetry hook is
-    /// a single `Option` check — the hooks sit at the same rule sites as
-    /// the substitution machine's, so both backends emit identical event
-    /// sequences on identical programs.
-    pub fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        self.telem.attach(observer, step_interval);
+    #[inline]
+    fn state(&self) -> &CoreState {
+        &self.st
     }
 
-    /// The current memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
+    #[inline]
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.st
     }
 
-    /// Mutable access to the memory — **fault-injection machinery**. The
-    /// interpreter itself never needs this; it exists so [`crate::faults`]
-    /// and adversarial tests can corrupt a live state.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Audits the current state every `n` steps during [`EnvMachine::run`]
-    /// (`0` disables auditing, the default).
-    pub fn set_verify_every(&mut self, n: u64) {
-        self.verify_every = n;
-    }
-
-    /// Chooses how periodic audits walk the heap (default: incremental).
-    pub fn set_audit_mode(&mut self, mode: AuditMode) {
-        self.audit_mode = mode;
-    }
-
-    /// Arms deterministic faults to be injected during [`EnvMachine::run`]
-    /// once each plan's step is reached (**fault-injection machinery**).
-    pub fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        self.faults = plans.to_vec();
-    }
-
-    /// Captures a checkpoint every `n` steps and at every collection
-    /// boundary during [`EnvMachine::run`] (`0` disables, the default).
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Sets (or clears) the wall-clock deadline for [`EnvMachine::run`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Captures a checkpoint of the current state. The control is captured
-    /// *resolved* (environment applied), so the snapshot restores into any
-    /// backend — but resolution is deferred: the checkpoint stores a clone
-    /// of the environment and the raw control, and the closed term is only
-    /// built if the snapshot is ever restored or triaged.
-    pub fn snapshot(&self) -> Snapshot {
-        let env = self.env.clone();
-        let control = self.control.clone();
-        Snapshot::capture_deferred(
-            move || env.term(control.term()),
-            self.dialect,
-            self.mem.clone(),
-            self.stats.clone(),
-            self.halted,
-            self.faults.clone(),
-            self.telem.phase_state(),
-        )
-    }
-
-    /// Restores a checkpoint captured by any backend; see
-    /// [`crate::machine::Machine::restore`] for the contract. The snapshot's
-    /// control is closed, so it becomes the new control over an empty
-    /// environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Dialect`] error on a dialect mismatch.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.dialect() != self.dialect {
-            return Err(dialect_err(format!(
-                "snapshot dialect {} does not match machine dialect {}",
-                snap.dialect(),
-                self.dialect
-            )));
-        }
-        self.mem = snap.memory().clone();
-        self.control = Ctrl::Term(snap.control().id());
-        self.env.clear();
-        self.stats = snap.stats().clone();
-        self.halted = snap.halted();
-        self.faults = snap.pending_faults().to_vec();
-        self.telem.restore_phase(snap.telemetry_phase());
-        self.snaps.clear();
-        Ok(())
-    }
-
-    /// Runs the [`crate::verify`] heap auditor against the current state.
-    /// The reachability root is [`EnvMachine::resolved_control`] — the same
-    /// closed term the substitution machine holds at this step — so the
-    /// audit's verdict is backend-independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated Fig. 7 invariant.
-    pub fn audit(&self) -> Result<()> {
-        let root = self.resolved_control();
-        crate::verify::audit_state(&self.mem, self.dialect, &root)
-    }
-
-    /// The term currently in control position (with its free variables
-    /// still unresolved — resolve against the environment to compare with
-    /// the substitution machine's closed term).
-    pub fn control(&self) -> &Term {
-        self.control.term()
-    }
-
-    /// The control term with the environment applied — the closed term the
-    /// substitution machine holds at the same step. Used by the lockstep
-    /// differential tests; costs a full term copy, so not on the fast path.
-    pub fn resolved_control(&self) -> Term {
-        self.env.term(self.control.term())
-    }
-
-    /// The dialect this machine runs.
-    pub fn dialect(&self) -> Dialect {
-        self.dialect
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The halt value, if the machine has halted.
-    pub fn halted(&self) -> Option<i64> {
-        self.halted
-    }
-
-    /// Runs until `halt`, an error, or `fuel` steps. If armed (see
-    /// [`EnvMachine::set_fault_plan`]) a fault is injected at its step, and
-    /// if `verify_every > 0` the state is audited every that many steps; an
-    /// audit failure ends the run with [`Outcome::InvariantViolation`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state error if no reduction rule applies — a
-    /// progress violation for well-typed programs (Prop. 6.5) — or an
-    /// [`ErrorKind::OutOfMemory`] error if an allocation would exceed
-    /// [`MemConfig::max_heap_words`].
-    pub fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        // The next interval-checkpoint step, derived once: the loop below
-        // runs per step, so a compare-and-bump replaces a per-step modulo.
-        let mut next_cp = match self.checkpoint_every {
-            0 => u64::MAX,
-            n => self.stats.steps - self.stats.steps % n + n,
-        };
-        for _ in 0..fuel {
-            let cols = self.stats.collections;
-            match self.step() {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
-                Err(e) => {
-                    if e.kind() == ErrorKind::OutOfMemory {
-                        let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                        self.telem
-                            .on_oom(self.stats.steps, self.mem.data_words(), limit);
-                    }
-                    return Err(e);
-                }
-            }
-            self.try_inject();
-            if self.verify_every > 0 && self.stats.steps.is_multiple_of(self.verify_every) {
-                let full = self.audit_mode == AuditMode::Full || self.mem.wants_full_audit();
-                let res = if full {
-                    let r = self.audit();
-                    if r.is_ok() {
-                        self.mem.note_full_audit();
-                    }
-                    r
-                } else {
-                    crate::verify::audit_dirty(&mut self.mem, self.dialect)
-                };
-                if let Err(e) = res {
-                    self.telem
-                        .on_invariant_violation(self.stats.steps, &e.to_string());
-                    return Ok(Outcome::InvariantViolation(e));
-                }
-            }
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols || self.stats.steps >= next_cp)
-            {
-                if self.stats.steps >= next_cp {
-                    next_cp += self.checkpoint_every;
-                }
-                self.telem.on_snapshot(self.stats.steps, &self.mem);
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if self.stats.steps & 1023 == 0 && std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-        }
-        self.telem.on_fuel_exhausted(self.stats.steps);
-        Ok(Outcome::OutOfFuel)
-    }
-
-    /// Applies each armed fault plan whose step has been reached, in spec
-    /// order. A plan stays armed until an application actually lands (it
-    /// may find no target at its nominal step, e.g. before the first
-    /// allocation). The injection root is the resolved control, matching
-    /// the substitution machine's term so both backends pick identical
-    /// sites.
-    fn try_inject(&mut self) {
-        if self.faults.is_empty() || self.faults.iter().all(|p| self.stats.steps < p.step) {
-            return;
-        }
-        let root = self.resolved_control();
-        let mut i = 0;
-        while i < self.faults.len() {
-            let plan = self.faults[i];
-            if self.stats.steps >= plan.step
-                && crate::faults::apply(&plan, &mut self.mem, &root).is_some()
-            {
-                self.faults.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Takes one machine step.
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state or memory error if no rule applies.
-    pub fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.halted {
+    #[inline]
+    fn step(&mut self) -> Result<StepOutcome> {
+        if let Some(n) = self.st.halted {
             return Ok(StepOutcome::Halted(n));
         }
-        self.stats.steps += 1;
-        self.telem.on_step(self.stats.steps, &self.mem);
+        self.st.stats.steps += 1;
+        self.st.telem.on_step(self.st.stats.steps, &self.st.mem);
         // Cheap handle clone so `self` stays free for mutation while the
         // current term is being matched.
         let ctrl = self.control.clone();
         match self.step_term(ctrl.term())? {
             Some(next) => {
                 self.control = next;
-                self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
+                self.st.stats.peak_data_words =
+                    self.st.stats.peak_data_words.max(self.st.mem.data_words());
                 Ok(StepOutcome::Continue)
             }
-            None => match self.halted {
+            None => match self.st.halted {
                 Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
+                None => Err(self
+                    .st
+                    .stuck("step ended without a term or a halt value".into())),
             },
         }
     }
 
-    fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+    /// The control term with the environment applied. Costs a full term
+    /// copy, so it stays off the unaudited path.
+    fn resolved_control(&self) -> Term {
+        self.env.term(self.control.term())
     }
 
+    /// The control is captured *resolved* (environment applied), so the
+    /// snapshot restores into any backend — but resolution is deferred:
+    /// the checkpoint stores a clone of the environment and the raw
+    /// control, and the closed term is only built if the snapshot is ever
+    /// restored or triaged.
+    fn capture_control(&self) -> SnapControl {
+        let env = self.env.clone();
+        let control = self.control.clone();
+        SnapControl::deferred(move || env.term(control.term()))
+    }
+
+    /// The snapshot's control is closed, so it becomes the new control
+    /// over an empty environment.
+    fn restore_control(&mut self, control: &Term) {
+        self.control = Ctrl::Term(control.id());
+        self.env.clear();
+    }
+}
+
+impl EnvCore {
     /// Resolves a region against the environment down to a concrete name.
     fn resolve_name(&self, rho: &Region) -> Result<RegionName> {
         match self.env.region(rho) {
             Region::Name(nu) => Ok(nu),
-            Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
+            Region::Var(r) => Err(self.st.stuck(format!("unsubstituted region variable {r}"))),
         }
     }
 
@@ -401,17 +178,21 @@ impl EnvMachine {
             }
             Term::Halt(v) => match self.env.value(v) {
                 Value::Int(n) => {
-                    self.halted = Some(n);
-                    self.telem.on_halt(n, self.stats.steps);
+                    self.st.halted = Some(n);
+                    self.st.telem.on_halt(n, self.st.stats.steps);
                     Ok(None)
                 }
-                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("halt on non-integer value {other:?}"))),
             },
             Term::IfGc { rho, full, cont } => {
                 let nu = self.resolve_name(rho)?;
-                if self.mem.is_full(nu)? {
-                    self.stats.gc_triggers += 1;
-                    self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+                if self.st.mem.is_full(nu)? {
+                    self.st.stats.gc_triggers += 1;
+                    self.st
+                        .telem
+                        .on_gc_trigger(nu, &self.st.mem, self.st.stats.steps);
                     Ok(Some(Ctrl::Term(*full)))
                 } else {
                     Ok(Some(Ctrl::Term(*cont)))
@@ -425,7 +206,7 @@ impl EnvMachine {
                     self.env.bind_val(*x, (*val).clone());
                     Ok(Some(Ctrl::Term(*body)))
                 }
-                other => Err(self.stuck(format!("open(tag) on non-package {other:?}"))),
+                other => Err(self.st.stuck(format!("open(tag) on non-package {other:?}"))),
             },
             Term::OpenAlpha { pkg, avar, x, body } => match self.env.value(pkg) {
                 Value::PackAlpha { witness, val, .. } => {
@@ -433,26 +214,30 @@ impl EnvMachine {
                     self.env.bind_val(*x, (*val).clone());
                     Ok(Some(Ctrl::Term(*body)))
                 }
-                other => Err(self.stuck(format!("open(α) on non-package {other:?}"))),
+                other => Err(self.st.stuck(format!("open(α) on non-package {other:?}"))),
             },
             Term::OpenRgn { pkg, rvar, x, body } => match self.env.value(pkg) {
                 Value::PackRgn { witness, val, .. } => {
                     let nu = match witness {
                         Region::Name(nu) => nu,
                         Region::Var(r) => {
-                            return Err(self.stuck(format!("unsubstituted region variable {r}")))
+                            return Err(self.st.stuck(format!("unsubstituted region variable {r}")))
                         }
                     };
                     self.env.bind_rgn(*rvar, Region::Name(nu));
                     self.env.bind_val(*x, (*val).clone());
                     Ok(Some(Ctrl::Term(*body)))
                 }
-                other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("open(region) on non-package {other:?}"))),
             },
             Term::LetRegion { rvar, body } => {
-                let nu = self.mem.alloc_region();
-                self.stats.regions_created += 1;
-                self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+                let nu = self.st.mem.alloc_region();
+                self.st.stats.regions_created += 1;
+                self.st
+                    .telem
+                    .on_region_alloc(nu, &self.st.mem, self.st.stats.steps);
                 self.env.bind_rgn(*rvar, Region::Name(nu));
                 Ok(Some(Ctrl::Term(*body)))
             }
@@ -461,9 +246,11 @@ impl EnvMachine {
                 for r in regions {
                     keep.push(self.resolve_name(r)?);
                 }
-                let report = self.mem.only(&keep);
-                self.telem.on_only(&report, &self.mem, self.stats.steps);
-                self.stats.record_reclaim(report);
+                let report = self.st.mem.only(&keep);
+                self.st
+                    .telem
+                    .on_only(&report, &self.st.mem, self.st.stats.steps);
+                self.st.stats.record_reclaim(report);
                 Ok(Some(Ctrl::Term(*body)))
             }
             Term::Typecase {
@@ -473,7 +260,7 @@ impl EnvMachine {
                 prod_arm,
                 exist_arm,
             } => {
-                self.stats.typecase_dispatches += 1;
+                self.st.stats.typecase_dispatches += 1;
                 let nf = tags::normalize(&self.env.tag(tag));
                 match nf {
                     Tag::Int => Ok(Some(Ctrl::Term(*int_arm))),
@@ -489,7 +276,9 @@ impl EnvMachine {
                         self.env.bind_tag(*te, Tag::Lam(t, body_tag));
                         Ok(Some(Ctrl::Term(*body)))
                     }
-                    other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
+                    other => Err(self
+                        .st
+                        .stuck(format!("typecase on non-constructor tag {other:?}"))),
                 }
             }
             Term::IfLeft {
@@ -506,16 +295,16 @@ impl EnvMachine {
                     self.env.bind_val(*x, v);
                     Ok(Some(Ctrl::Term(*right)))
                 }
-                other => Err(self.stuck(format!("ifleft on non-sum value {other:?}"))),
+                other => Err(self.st.stuck(format!("ifleft on non-sum value {other:?}"))),
             },
             Term::Set { dst, src, body } => match self.env.value(dst) {
                 Value::Addr(nu, loc) => {
                     let v = self.env.value(src);
-                    self.mem.set(nu, loc, v)?;
-                    self.stats.forwarding_installs += 1;
+                    self.st.mem.set(nu, loc, v)?;
+                    self.st.stats.forwarding_installs += 1;
                     Ok(Some(Ctrl::Term(*body)))
                 }
-                other => Err(self.stuck(format!("set on non-address {other:?}"))),
+                other => Err(self.st.stuck(format!("set on non-address {other:?}"))),
             },
             Term::Widen {
                 x,
@@ -528,11 +317,11 @@ impl EnvMachine {
                 // Operationally a no-op (see the substitution machine); only
                 // the observer memory typing Ψ is rewritten when tracked.
                 let rv = self.env.value(v);
-                if self.mem.config().track_types {
+                if self.st.mem.config().track_types {
                     let from = self.resolve_name(from)?;
                     let to = self.resolve_name(to)?;
                     let nf = tags::normalize(&self.env.tag(tag));
-                    widen_psi(&mut self.mem, &rv, &nf, from, to)?;
+                    widen_psi(&mut self.st.mem, &rv, &nf, from, to)?;
                 }
                 self.env.bind_val(*x, rv);
                 Ok(Some(Ctrl::Term(*body)))
@@ -553,7 +342,7 @@ impl EnvMachine {
             } => match self.env.value(scrut) {
                 Value::Int(0) => Ok(Some(Ctrl::Term(*zero))),
                 Value::Int(_) => Ok(Some(Ctrl::Term(*nonzero))),
-                other => Err(self.stuck(format!("if0 on non-integer {other:?}"))),
+                other => Err(self.st.stuck(format!("if0 on non-integer {other:?}"))),
             },
         }
     }
@@ -567,18 +356,18 @@ impl EnvMachine {
     ) -> Result<Ctrl> {
         match self.env.value(f) {
             Value::Addr(nu, loc) => {
-                let code = match self.mem.get(nu, loc)? {
+                let code = match self.st.mem.get(nu, loc)? {
                     Value::Code(def) => Arc::clone(def),
                     other => {
                         let msg = format!("application of non-code value {other:?}");
-                        return Err(self.stuck(msg));
+                        return Err(self.st.stuck(msg));
                     }
                 };
                 if code.tvars.len() != ts.len()
                     || code.rvars.len() != regions.len()
                     || code.params.len() != args.len()
                 {
-                    return Err(self.stuck(format!(
+                    return Err(self.st.stuck(format!(
                         "arity mismatch calling {}: expected [{}][{}]({}), got [{}][{}]({})",
                         code.name,
                         code.tvars.len(),
@@ -627,7 +416,9 @@ impl EnvMachine {
                     args: args.iter().map(|v| self.env.value(v)).collect(),
                 })))
             }
-            other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+            other => Err(self
+                .st
+                .stuck(format!("application of non-code value {other:?}"))),
         }
     }
 
@@ -636,101 +427,45 @@ impl EnvMachine {
             Op::Val(v) => Ok(self.env.value(v)),
             Op::Proj(i, v) => match self.env.value(v) {
                 Value::Pair(a, b) => Ok(if *i == 1 { (*a).clone() } else { (*b).clone() }),
-                other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("projection π{i} of non-pair {other:?}"))),
             },
             Op::Put(rho, v) => {
                 let nu = self.resolve_name(rho)?;
-                let rec = self.mem.put_counted(nu, self.env.value(v))?;
-                self.stats.allocations += 1;
-                self.stats.words_allocated += rec.words as u64;
+                let rec = self.st.mem.put_counted(nu, self.env.value(v))?;
+                self.st.stats.allocations += 1;
+                self.st.stats.words_allocated += rec.words as u64;
                 if let Some(alloc) = rec.page {
-                    self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+                    self.st.telem.on_page_alloc(nu, alloc, self.st.stats.steps);
                 }
-                self.telem.on_put(nu, rec.words, self.stats.steps);
+                self.st.telem.on_put(nu, rec.words, self.st.stats.steps);
                 Ok(Value::Addr(nu, rec.loc))
             }
             Op::Get(v) => match self.env.value(v) {
-                Value::Addr(nu, loc) => Ok(self.mem.get(nu, loc)?.clone()),
-                other => Err(self.stuck(format!("get of non-address {other:?}"))),
+                Value::Addr(nu, loc) => Ok(self.st.mem.get(nu, loc)?.clone()),
+                other => Err(self.st.stuck(format!("get of non-address {other:?}"))),
             },
             Op::Strip(v) => match self.env.value(v) {
                 Value::Inl(x) | Value::Inr(x) => Ok((*x).clone()),
-                other => Err(self.stuck(format!("strip of untagged value {other:?}"))),
+                other => Err(self.st.stuck(format!("strip of untagged value {other:?}"))),
             },
             Op::Prim(p, a, b) => match (self.env.value(a), self.env.value(b)) {
                 (Value::Int(x), Value::Int(y)) => Ok(Value::Int(p.apply(x, y))),
-                (a, b) => Err(self.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
+                (a, b) => Err(self
+                    .st
+                    .stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
             },
         }
-    }
-}
-
-impl crate::machine::Machine for EnvMachine {
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        EnvMachine::set_observer(self, observer, step_interval);
-    }
-    fn set_verify_every(&mut self, n: u64) {
-        EnvMachine::set_verify_every(self, n);
-    }
-    fn set_audit_mode(&mut self, mode: AuditMode) {
-        EnvMachine::set_audit_mode(self, mode);
-    }
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        EnvMachine::set_fault_plans(self, plans);
-    }
-    fn pending_faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-    fn set_checkpoint_every(&mut self, n: u64) {
-        EnvMachine::set_checkpoint_every(self, n);
-    }
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        EnvMachine::set_deadline(self, deadline);
-    }
-    fn snapshots(&self) -> &[Snapshot] {
-        self.snaps.as_slice()
-    }
-    fn snapshot(&self) -> Snapshot {
-        EnvMachine::snapshot(self)
-    }
-    fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        EnvMachine::restore(self, snap)
-    }
-    fn memory(&self) -> &Memory {
-        EnvMachine::memory(self)
-    }
-    fn memory_mut(&mut self) -> &mut Memory {
-        EnvMachine::memory_mut(self)
-    }
-    fn dialect(&self) -> Dialect {
-        EnvMachine::dialect(self)
-    }
-    fn stats(&self) -> &Stats {
-        EnvMachine::stats(self)
-    }
-    fn halted(&self) -> Option<i64> {
-        EnvMachine::halted(self)
-    }
-    fn resolved_control(&self) -> Term {
-        EnvMachine::resolved_control(self)
-    }
-    fn audit(&self) -> Result<()> {
-        EnvMachine::audit(self)
-    }
-    fn step(&mut self) -> Result<StepOutcome> {
-        EnvMachine::step(self)
-    }
-    fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        EnvMachine::run(self, fuel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SubstMachine;
+    use crate::machine::{Outcome, SubstMachine};
     use crate::memory::GrowthPolicy;
-    use crate::syntax::{Op, PrimOp, CD};
+    use crate::syntax::{Dialect, Op, PrimOp, CD};
     use ps_ir::Symbol;
 
     fn s(x: &str) -> Symbol {

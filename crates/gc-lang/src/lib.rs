@@ -26,6 +26,9 @@
 //! * [`tyck`] — the static semantics (Figs. 6, 8, 10);
 //! * [`memory`]/[`machine`] — the allocation semantics (Fig. 5) on real
 //!   region-backed stores, with statistics;
+//! * [`driver`] — the one run loop every backend runs under: audit
+//!   cadence, fault injection, checkpoints and the deadline, around a
+//!   backend's small step core;
 //! * [`env_machine`] — an environment-based (CEK-style) fast path for the
 //!   same semantics: no per-step substitution, continuations shared as
 //!   interned [`intern::TermId`]s; observationally identical to
@@ -57,7 +60,7 @@
 //! Run a tiny λGC program:
 //!
 //! ```
-//! use ps_gc_lang::machine::{SubstMachine, Outcome, Program};
+//! use ps_gc_lang::machine::{Machine, Outcome, Program, SubstMachine};
 //! use ps_gc_lang::memory::MemConfig;
 //! use ps_gc_lang::syntax::{Dialect, Term, Value};
 //!
@@ -72,6 +75,7 @@
 
 pub mod ablation;
 pub mod bytecode;
+pub mod driver;
 pub mod env_machine;
 pub mod error;
 pub mod faults;

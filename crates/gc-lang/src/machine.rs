@@ -12,14 +12,15 @@
 
 use std::collections::HashSet;
 
-use crate::error::{dialect_err, stuck_err, ErrorKind, LangError, Result};
+use crate::driver::{Core, CoreState, Driver};
+use crate::error::{stuck_err, LangError, Result};
 use crate::faults::FaultPlan;
 use crate::memory::{MemConfig, Memory, ReclaimReport};
-use crate::snapshot::{SnapRing, Snapshot};
+use crate::snapshot::{SnapControl, Snapshot};
 use crate::subst::Subst;
 use crate::syntax::{Dialect, Op, Region, RegionName, Tag, Term, Ty, Value};
 use crate::tags;
-use crate::telemetry::{SharedObserver, Telemetry};
+use crate::telemetry::SharedObserver;
 
 /// A closed λGC program: code blocks to install in `cd` plus the main term.
 ///
@@ -268,15 +269,18 @@ pub enum StepOutcome {
     Halted(i64),
 }
 
-/// The uniform execution interface every interpreter backend implements.
+/// The uniform execution interface of a loaded λGC program.
 ///
 /// A `Machine` is a loaded λGC program plus a heap: it can be stepped or
 /// run, observed through telemetry, audited against the heap invariants,
-/// and subjected to fault injection. The contract — enforced by the
-/// lockstep differential suite — is that all implementations are
-/// *observationally identical*: byte-identical [`Stats`], byte-identical
-/// telemetry event streams, identical error messages, and the same
-/// [resolved control term](Machine::resolved_control) before every step.
+/// and subjected to fault injection. It has exactly one implementation,
+/// [`crate::driver::Driver`], which runs the same audit, fault-injection,
+/// checkpoint and deadline policy over each backend's step core. The
+/// contract — enforced by the lockstep differential suite — is that all
+/// backends are *observationally identical*: byte-identical [`Stats`],
+/// byte-identical telemetry event streams, identical error messages, and
+/// the same [resolved control term](Machine::resolved_control) before
+/// every step.
 ///
 /// Obtain one with [`Backend::load`]; the concrete types
 /// ([`SubstMachine`], [`crate::env_machine::EnvMachine`],
@@ -313,7 +317,9 @@ pub trait Machine {
     fn pending_faults(&self) -> &[FaultPlan];
 
     /// Captures a checkpoint during [`Machine::run`] every `n` steps and at
-    /// every collection boundary (0 = never, the default).
+    /// every collection boundary (0 = never, the default). An unobserved
+    /// run on a backend with a fast path places a collection's checkpoint
+    /// at the end of its burst, at most one interval late.
     fn set_checkpoint_every(&mut self, n: u64);
 
     /// Sets a wall-clock deadline: [`Machine::run`] returns
@@ -338,15 +344,12 @@ pub trait Machine {
     ///
     /// # Errors
     ///
-    /// Returns an [`ErrorKind::Dialect`] error if the snapshot was captured
-    /// under a different dialect.
+    /// Returns an [`ErrorKind::Dialect`](crate::error::ErrorKind::Dialect)
+    /// error if the snapshot was captured under a different dialect.
     fn restore(&mut self, snap: &Snapshot) -> Result<()>;
 
     /// The machine's memory.
     fn memory(&self) -> &Memory;
-
-    /// Mutable access to the memory (used by fault-injection tests).
-    fn memory_mut(&mut self) -> &mut Memory;
 
     /// The dialect the loaded program was compiled for.
     fn dialect(&self) -> Dialect;
@@ -363,11 +366,6 @@ pub trait Machine {
     /// heap auditor and fault injector consume.
     fn resolved_control(&self) -> Term;
 
-    /// Audits the current state against the heap invariants.
-    fn audit(&self) -> Result<()> {
-        crate::verify::audit_state(self.memory(), self.dialect(), &self.resolved_control())
-    }
-
     /// Takes a single machine step.
     fn step(&mut self) -> Result<StepOutcome>;
 
@@ -376,282 +374,83 @@ pub trait Machine {
     fn run(&mut self, fuel: u64) -> Result<Outcome>;
 }
 
-/// A λGC machine state `(M, e)` plus bookkeeping.
+/// The literal Fig. 5 machine: a λGC state `(M, e)` whose control is
+/// the closed term `e` itself.
+pub type SubstMachine = Driver<SubstCore>;
+
+/// The substitution backend's core: the shared state plus the closed
+/// control term, rewritten by substitution on every step.
 #[derive(Clone, Debug)]
-pub struct SubstMachine {
-    mem: Memory,
+pub struct SubstCore {
+    st: CoreState,
     term: Term,
-    dialect: Dialect,
-    stats: Stats,
-    telem: Telemetry,
-    halted: Option<i64>,
-    verify_every: u64,
-    audit_mode: AuditMode,
-    faults: Vec<FaultPlan>,
-    checkpoint_every: u64,
-    deadline: Option<std::time::Instant>,
-    snaps: SnapRing,
 }
 
 impl SubstMachine {
-    /// Loads a program: installs its code blocks in `cd` and sets the main
-    /// term as the current redex.
-    pub fn load(program: &Program, config: MemConfig) -> SubstMachine {
-        let mut mem = Memory::new(config);
-        for def in &program.code {
-            let ty = def.ty();
-            mem.install_code(Value::Code(std::sync::Arc::new(def.clone())), ty);
-        }
-        SubstMachine {
-            mem,
-            term: program.main.clone(),
-            dialect: program.dialect,
-            stats: Stats::default(),
-            telem: Telemetry::default(),
-            halted: None,
-            verify_every: 0,
-            audit_mode: AuditMode::default(),
-            faults: Vec::new(),
-            checkpoint_every: 0,
-            deadline: None,
-            snaps: SnapRing::new(),
-        }
-    }
-
-    /// Attaches a telemetry observer; `step_interval > 0` also emits
-    /// periodic heap samples. Without an observer every telemetry hook is
-    /// a single `Option` check.
-    pub fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        self.telem.attach(observer, step_interval);
-    }
-
-    /// The current memory.
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable access to the memory — **fault-injection machinery**. The
-    /// interpreter itself never needs this; it exists so [`crate::faults`]
-    /// and adversarial tests can corrupt a live state.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Audits the current state every `n` steps during [`SubstMachine::run`]
-    /// (`0` disables auditing, the default).
-    pub fn set_verify_every(&mut self, n: u64) {
-        self.verify_every = n;
-    }
-
-    /// Chooses how periodic audits walk the heap (default: incremental).
-    pub fn set_audit_mode(&mut self, mode: AuditMode) {
-        self.audit_mode = mode;
-    }
-
-    /// Arms deterministic faults to be injected during [`SubstMachine::run`]
-    /// once each plan's step is reached (**fault-injection machinery**).
-    pub fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        self.faults = plans.to_vec();
-    }
-
-    /// Captures a checkpoint every `n` steps and at every collection
-    /// boundary during [`SubstMachine::run`] (`0` disables, the default).
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Sets (or clears) the wall-clock deadline for [`SubstMachine::run`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Captures a checkpoint of the current state.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            self.term.clone(),
-            self.dialect,
-            self.mem.clone(),
-            self.stats.clone(),
-            self.halted,
-            self.faults.clone(),
-            self.telem.phase_state(),
-        )
-    }
-
-    /// Restores a checkpoint captured by any backend; see
-    /// [`Machine::restore`] for the contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ErrorKind::Dialect`] error on a dialect mismatch.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        if snap.dialect() != self.dialect {
-            return Err(dialect_err(format!(
-                "snapshot dialect {} does not match machine dialect {}",
-                snap.dialect(),
-                self.dialect
-            )));
-        }
-        self.mem = snap.memory().clone();
-        self.term = snap.control().clone();
-        self.stats = snap.stats().clone();
-        self.halted = snap.halted();
-        self.faults = snap.pending_faults().to_vec();
-        self.telem.restore_phase(snap.telemetry_phase());
-        self.snaps.clear();
-        Ok(())
-    }
-
-    /// Runs the [`crate::verify`] heap auditor against the current state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated Fig. 7 invariant.
-    pub fn audit(&self) -> Result<()> {
-        crate::verify::audit_state(&self.mem, self.dialect, &self.term)
-    }
-
     /// The current term.
     pub fn term(&self) -> &Term {
-        &self.term
+        &self.core.term
     }
+}
 
-    /// The dialect this machine runs.
-    pub fn dialect(&self) -> Dialect {
-        self.dialect
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// The halt value, if the machine has halted.
-    pub fn halted(&self) -> Option<i64> {
-        self.halted
-    }
-
-    /// Runs until `halt`, an error, or `fuel` steps. If armed (see
-    /// [`SubstMachine::set_fault_plan`]) a fault is injected at its step, and if
-    /// `verify_every > 0` the state is audited every that many steps; an
-    /// audit failure ends the run with [`Outcome::InvariantViolation`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state error if no reduction rule applies — a progress
-    /// violation for well-typed programs (Prop. 6.5) — or an
-    /// [`ErrorKind::OutOfMemory`] error if an allocation would exceed
-    /// [`MemConfig::max_heap_words`].
-    pub fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        // The next interval-checkpoint step, derived once: the loop below
-        // runs per step, so a compare-and-bump replaces a per-step modulo.
-        let mut next_cp = match self.checkpoint_every {
-            0 => u64::MAX,
-            n => self.stats.steps - self.stats.steps % n + n,
-        };
-        for _ in 0..fuel {
-            let cols = self.stats.collections;
-            match self.step() {
-                Ok(StepOutcome::Continue) => {}
-                Ok(StepOutcome::Halted(n)) => return Ok(Outcome::Halted(n)),
-                Err(e) => {
-                    if e.kind() == ErrorKind::OutOfMemory {
-                        let limit = self.mem.config().max_heap_words.unwrap_or(0);
-                        self.telem
-                            .on_oom(self.stats.steps, self.mem.data_words(), limit);
-                    }
-                    return Err(e);
-                }
-            }
-            self.try_inject();
-            if self.verify_every > 0 && self.stats.steps.is_multiple_of(self.verify_every) {
-                let full = self.audit_mode == AuditMode::Full || self.mem.wants_full_audit();
-                let res = if full {
-                    let r = self.audit();
-                    if r.is_ok() {
-                        self.mem.note_full_audit();
-                    }
-                    r
-                } else {
-                    crate::verify::audit_dirty(&mut self.mem, self.dialect)
-                };
-                if let Err(e) = res {
-                    self.telem
-                        .on_invariant_violation(self.stats.steps, &e.to_string());
-                    return Ok(Outcome::InvariantViolation(e));
-                }
-            }
-            if self.checkpoint_every > 0
-                && (self.stats.collections != cols || self.stats.steps >= next_cp)
-            {
-                if self.stats.steps >= next_cp {
-                    next_cp += self.checkpoint_every;
-                }
-                self.telem.on_snapshot(self.stats.steps, &self.mem);
-                let snap = self.snapshot();
-                self.snaps.push(snap);
-            }
-            if let Some(dl) = self.deadline {
-                if self.stats.steps & 1023 == 0 && std::time::Instant::now() >= dl {
-                    return Ok(Outcome::DeadlineExceeded);
-                }
-            }
-        }
-        self.telem.on_fuel_exhausted(self.stats.steps);
-        Ok(Outcome::OutOfFuel)
-    }
-
-    /// Applies each armed fault plan whose step has been reached, in spec
-    /// order. A plan stays armed until an application actually lands (it
-    /// may find no target at its nominal step, e.g. before the first
-    /// allocation).
-    fn try_inject(&mut self) {
-        if self.faults.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.faults.len() {
-            let plan = self.faults[i];
-            if self.stats.steps >= plan.step
-                && crate::faults::apply(&plan, &mut self.mem, &self.term).is_some()
-            {
-                self.faults.remove(i);
-            } else {
-                i += 1;
-            }
+impl Core for SubstCore {
+    fn load(program: &Program, config: MemConfig) -> SubstCore {
+        SubstCore {
+            st: CoreState::load(program, config),
+            term: program.main.clone(),
         }
     }
 
-    /// Takes one machine step.
-    ///
-    /// # Errors
-    ///
-    /// Returns a stuck-state or memory error if no rule applies.
-    pub fn step(&mut self) -> Result<StepOutcome> {
-        if let Some(n) = self.halted {
+    #[inline]
+    fn state(&self) -> &CoreState {
+        &self.st
+    }
+
+    #[inline]
+    fn state_mut(&mut self) -> &mut CoreState {
+        &mut self.st
+    }
+
+    #[inline]
+    fn step(&mut self) -> Result<StepOutcome> {
+        if let Some(n) = self.st.halted {
             return Ok(StepOutcome::Halted(n));
         }
-        self.stats.steps += 1;
-        self.telem.on_step(self.stats.steps, &self.mem);
+        self.st.stats.steps += 1;
+        self.st.telem.on_step(self.st.stats.steps, &self.st.mem);
         let term = std::mem::replace(&mut self.term, Term::Halt(Value::Int(0)));
         let next = self.step_term(term)?;
         match next {
             Some(t) => {
                 self.term = t;
-                self.stats.peak_data_words = self.stats.peak_data_words.max(self.mem.data_words());
+                self.st.stats.peak_data_words =
+                    self.st.stats.peak_data_words.max(self.st.mem.data_words());
                 Ok(StepOutcome::Continue)
             }
-            None => match self.halted {
+            None => match self.st.halted {
                 Some(n) => Ok(StepOutcome::Halted(n)),
-                None => Err(self.stuck("step ended without a term or a halt value".into())),
+                None => Err(self
+                    .st
+                    .stuck("step ended without a term or a halt value".into())),
             },
         }
     }
 
-    fn stuck(&self, msg: String) -> LangError {
-        stuck_err(msg).in_context(format!("dialect {}", self.dialect))
+    fn resolved_control(&self) -> Term {
+        // The state *is* the closed control term.
+        self.term.clone()
     }
 
+    fn capture_control(&self) -> SnapControl {
+        SnapControl::ready(self.term.clone())
+    }
+
+    fn restore_control(&mut self, control: &Term) {
+        self.term = control.clone();
+    }
+}
+
+impl SubstCore {
     fn step_term(&mut self, term: Term) -> Result<Option<Term>> {
         match term {
             Term::App {
@@ -668,17 +467,21 @@ impl SubstMachine {
             }
             Term::Halt(v) => match v {
                 Value::Int(n) => {
-                    self.halted = Some(n);
-                    self.telem.on_halt(n, self.stats.steps);
+                    self.st.halted = Some(n);
+                    self.st.telem.on_halt(n, self.st.stats.steps);
                     Ok(None)
                 }
-                other => Err(self.stuck(format!("halt on non-integer value {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("halt on non-integer value {other:?}"))),
             },
             Term::IfGc { rho, full, cont } => {
                 let nu = self.expect_name(&rho)?;
-                if self.mem.is_full(nu)? {
-                    self.stats.gc_triggers += 1;
-                    self.telem.on_gc_trigger(nu, &self.mem, self.stats.steps);
+                if self.st.mem.is_full(nu)? {
+                    self.st.stats.gc_triggers += 1;
+                    self.st
+                        .telem
+                        .on_gc_trigger(nu, &self.st.mem, self.st.stats.steps);
                     Ok(Some((*full).clone()))
                 } else {
                     Ok(Some((*cont).clone()))
@@ -695,7 +498,7 @@ impl SubstMachine {
                     sub.bind_val(x, (*val).clone());
                     Ok(Some(sub.term(&body)))
                 }
-                other => Err(self.stuck(format!("open(tag) on non-package {other:?}"))),
+                other => Err(self.st.stuck(format!("open(tag) on non-package {other:?}"))),
             },
             Term::OpenAlpha { pkg, avar, x, body } => match pkg {
                 Value::PackAlpha { witness, val, .. } => {
@@ -704,7 +507,7 @@ impl SubstMachine {
                     sub.bind_val(x, (*val).clone());
                     Ok(Some(sub.term(&body)))
                 }
-                other => Err(self.stuck(format!("open(α) on non-package {other:?}"))),
+                other => Err(self.st.stuck(format!("open(α) on non-package {other:?}"))),
             },
             Term::OpenRgn { pkg, rvar, x, body } => match pkg {
                 Value::PackRgn { witness, val, .. } => {
@@ -714,12 +517,16 @@ impl SubstMachine {
                     sub.bind_val(x, (*val).clone());
                     Ok(Some(sub.term(&body)))
                 }
-                other => Err(self.stuck(format!("open(region) on non-package {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("open(region) on non-package {other:?}"))),
             },
             Term::LetRegion { rvar, body } => {
-                let nu = self.mem.alloc_region();
-                self.stats.regions_created += 1;
-                self.telem.on_region_alloc(nu, &self.mem, self.stats.steps);
+                let nu = self.st.mem.alloc_region();
+                self.st.stats.regions_created += 1;
+                self.st
+                    .telem
+                    .on_region_alloc(nu, &self.st.mem, self.st.stats.steps);
                 let mut sub = Subst::new();
                 sub.bind_rgn(rvar, Region::Name(nu));
                 Ok(Some(sub.term(&body)))
@@ -729,9 +536,11 @@ impl SubstMachine {
                 for r in &regions {
                     keep.push(self.expect_name(r)?);
                 }
-                let report = self.mem.only(&keep);
-                self.telem.on_only(&report, &self.mem, self.stats.steps);
-                self.stats.record_reclaim(report);
+                let report = self.st.mem.only(&keep);
+                self.st
+                    .telem
+                    .on_only(&report, &self.st.mem, self.st.stats.steps);
+                self.st.stats.record_reclaim(report);
                 Ok(Some((*body).clone()))
             }
             Term::Typecase {
@@ -741,7 +550,7 @@ impl SubstMachine {
                 prod_arm,
                 exist_arm,
             } => {
-                self.stats.typecase_dispatches += 1;
+                self.st.stats.typecase_dispatches += 1;
                 let nf = tags::normalize(&tag);
                 match nf {
                     Tag::Int => Ok(Some((*int_arm).clone())),
@@ -759,7 +568,9 @@ impl SubstMachine {
                         sub.bind_tag(te, Tag::Lam(t, body_tag));
                         Ok(Some(sub.term(&body)))
                     }
-                    other => Err(self.stuck(format!("typecase on non-constructor tag {other:?}"))),
+                    other => Err(self
+                        .st
+                        .stuck(format!("typecase on non-constructor tag {other:?}"))),
                 }
             }
             Term::IfLeft {
@@ -778,15 +589,15 @@ impl SubstMachine {
                     sub.bind_val(x, v);
                     Ok(Some(sub.term(&arm)))
                 }
-                other => Err(self.stuck(format!("ifleft on non-sum value {other:?}"))),
+                other => Err(self.st.stuck(format!("ifleft on non-sum value {other:?}"))),
             },
             Term::Set { dst, src, body } => match dst {
                 Value::Addr(nu, loc) => {
-                    self.mem.set(nu, loc, src)?;
-                    self.stats.forwarding_installs += 1;
+                    self.st.mem.set(nu, loc, src)?;
+                    self.st.stats.forwarding_installs += 1;
                     Ok(Some((*body).clone()))
                 }
-                other => Err(self.stuck(format!("set on non-address {other:?}"))),
+                other => Err(self.st.stuck(format!("set on non-address {other:?}"))),
             },
             Term::Widen {
                 x,
@@ -799,10 +610,10 @@ impl SubstMachine {
                 // Operationally a no-op: `widen` is the cast whose soundness
                 // §7.1 establishes; only the (observer) memory typing Ψ is
                 // rewritten by the T operator of Appendix C.
-                if self.mem.config().track_types {
+                if self.st.mem.config().track_types {
                     let from = self.expect_name(&from)?;
                     let to = self.expect_name(&to)?;
-                    widen_psi(&mut self.mem, &v, &tags::normalize(&tag), from, to)?;
+                    widen_psi(&mut self.st.mem, &v, &tags::normalize(&tag), from, to)?;
                 }
                 let mut sub = Subst::new();
                 sub.bind_val(x, v);
@@ -824,7 +635,7 @@ impl SubstMachine {
             } => match scrut {
                 Value::Int(0) => Ok(Some((*zero).clone())),
                 Value::Int(_) => Ok(Some((*nonzero).clone())),
-                other => Err(self.stuck(format!("if0 on non-integer {other:?}"))),
+                other => Err(self.st.stuck(format!("if0 on non-integer {other:?}"))),
             },
         }
     }
@@ -838,18 +649,18 @@ impl SubstMachine {
     ) -> Result<Term> {
         match f {
             Value::Addr(nu, loc) => {
-                let code = match self.mem.get(nu, loc)? {
+                let code = match self.st.mem.get(nu, loc)? {
                     Value::Code(def) => def.clone(),
                     other => {
                         let msg = format!("application of non-code value {other:?}");
-                        return Err(self.stuck(msg));
+                        return Err(self.st.stuck(msg));
                     }
                 };
                 if code.tvars.len() != ts.len()
                     || code.rvars.len() != regions.len()
                     || code.params.len() != args.len()
                 {
-                    return Err(self.stuck(format!(
+                    return Err(self.st.stuck(format!(
                         "arity mismatch calling {}: expected [{}][{}]({}), got [{}][{}]({})",
                         code.name,
                         code.tvars.len(),
@@ -886,7 +697,9 @@ impl SubstMachine {
                     args,
                 })
             }
-            other => Err(self.stuck(format!("application of non-code value {other:?}"))),
+            other => Err(self
+                .st
+                .stuck(format!("application of non-code value {other:?}"))),
         }
     }
 
@@ -895,30 +708,34 @@ impl SubstMachine {
             Op::Val(v) => Ok(v),
             Op::Proj(i, v) => match v {
                 Value::Pair(a, b) => Ok(if i == 1 { (*a).clone() } else { (*b).clone() }),
-                other => Err(self.stuck(format!("projection π{i} of non-pair {other:?}"))),
+                other => Err(self
+                    .st
+                    .stuck(format!("projection π{i} of non-pair {other:?}"))),
             },
             Op::Put(rho, v) => {
                 let nu = self.expect_name(&rho)?;
-                let rec = self.mem.put_counted(nu, v)?;
-                self.stats.allocations += 1;
-                self.stats.words_allocated += rec.words as u64;
+                let rec = self.st.mem.put_counted(nu, v)?;
+                self.st.stats.allocations += 1;
+                self.st.stats.words_allocated += rec.words as u64;
                 if let Some(alloc) = rec.page {
-                    self.telem.on_page_alloc(nu, alloc, self.stats.steps);
+                    self.st.telem.on_page_alloc(nu, alloc, self.st.stats.steps);
                 }
-                self.telem.on_put(nu, rec.words, self.stats.steps);
+                self.st.telem.on_put(nu, rec.words, self.st.stats.steps);
                 Ok(Value::Addr(nu, rec.loc))
             }
             Op::Get(v) => match v {
-                Value::Addr(nu, loc) => Ok(self.mem.get(nu, loc)?.clone()),
-                other => Err(self.stuck(format!("get of non-address {other:?}"))),
+                Value::Addr(nu, loc) => Ok(self.st.mem.get(nu, loc)?.clone()),
+                other => Err(self.st.stuck(format!("get of non-address {other:?}"))),
             },
             Op::Strip(v) => match v {
                 Value::Inl(x) | Value::Inr(x) => Ok((*x).clone()),
-                other => Err(self.stuck(format!("strip of untagged value {other:?}"))),
+                other => Err(self.st.stuck(format!("strip of untagged value {other:?}"))),
             },
             Op::Prim(p, a, b) => match (a, b) {
                 (Value::Int(x), Value::Int(y)) => Ok(Value::Int(p.apply(x, y))),
-                (a, b) => Err(self.stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
+                (a, b) => Err(self
+                    .st
+                    .stuck(format!("primitive {p} on non-integers {a:?}, {b:?}"))),
             },
         }
     }
@@ -926,69 +743,8 @@ impl SubstMachine {
     fn expect_name(&self, rho: &Region) -> Result<RegionName> {
         match rho {
             Region::Name(nu) => Ok(*nu),
-            Region::Var(r) => Err(self.stuck(format!("unsubstituted region variable {r}"))),
+            Region::Var(r) => Err(self.st.stuck(format!("unsubstituted region variable {r}"))),
         }
-    }
-}
-
-impl Machine for SubstMachine {
-    fn set_observer(&mut self, observer: SharedObserver, step_interval: u64) {
-        SubstMachine::set_observer(self, observer, step_interval);
-    }
-    fn set_verify_every(&mut self, n: u64) {
-        SubstMachine::set_verify_every(self, n);
-    }
-    fn set_audit_mode(&mut self, mode: AuditMode) {
-        SubstMachine::set_audit_mode(self, mode);
-    }
-    fn set_fault_plans(&mut self, plans: &[FaultPlan]) {
-        SubstMachine::set_fault_plans(self, plans);
-    }
-    fn pending_faults(&self) -> &[FaultPlan] {
-        &self.faults
-    }
-    fn set_checkpoint_every(&mut self, n: u64) {
-        SubstMachine::set_checkpoint_every(self, n);
-    }
-    fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        SubstMachine::set_deadline(self, deadline);
-    }
-    fn snapshots(&self) -> &[Snapshot] {
-        self.snaps.as_slice()
-    }
-    fn snapshot(&self) -> Snapshot {
-        SubstMachine::snapshot(self)
-    }
-    fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        SubstMachine::restore(self, snap)
-    }
-    fn memory(&self) -> &Memory {
-        SubstMachine::memory(self)
-    }
-    fn memory_mut(&mut self) -> &mut Memory {
-        SubstMachine::memory_mut(self)
-    }
-    fn dialect(&self) -> Dialect {
-        SubstMachine::dialect(self)
-    }
-    fn stats(&self) -> &Stats {
-        SubstMachine::stats(self)
-    }
-    fn halted(&self) -> Option<i64> {
-        SubstMachine::halted(self)
-    }
-    fn resolved_control(&self) -> Term {
-        // The state *is* the closed control term.
-        self.term.clone()
-    }
-    fn audit(&self) -> Result<()> {
-        SubstMachine::audit(self)
-    }
-    fn step(&mut self) -> Result<StepOutcome> {
-        SubstMachine::step(self)
-    }
-    fn run(&mut self, fuel: u64) -> Result<Outcome> {
-        SubstMachine::run(self, fuel)
     }
 }
 

@@ -10,7 +10,7 @@
 //! when a post-checkpoint write touches it — a checkpoint costs O(pages)
 //! pointer copies, not a heap walk.
 //!
-//! Control capture can be **deferred** ([`Snapshot::capture_deferred`]):
+//! Control capture can be **deferred** ([`SnapControl::deferred`]):
 //! instead of materializing the resolved term at checkpoint time, a backend
 //! hands over the point-in-time ingredients (e.g. an environment clone plus
 //! the raw control id — everything `Arc`-shared and immutable) and the term
@@ -33,24 +33,45 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use crate::driver::CoreState;
 use crate::machine::Stats;
 use crate::memory::Memory;
 use crate::syntax::{Dialect, Term};
 use crate::telemetry::TelemetryPhase;
 
-/// The control image: resolved at capture time, or a deferred resolution
-/// evaluated (once) on first access. Clones share the memoization cell, so
-/// a snapshot ring never resolves the same image twice.
+/// A backend's control at a checkpoint: resolved at capture time, or a
+/// deferred resolution evaluated (once) on first access. Clones share the
+/// memoization cell, so a snapshot ring never resolves the same image
+/// twice.
 #[derive(Clone)]
-enum SnapControl {
+pub enum SnapControl {
+    /// The resolved control term.
     Ready(Box<Term>),
+    /// A resolution over point-in-time, `Arc`-shared ingredients.
     Deferred {
+        /// Builds the resolved control term.
         resolve: Arc<dyn Fn() -> Term + Send + Sync>,
+        /// The memoized result of `resolve`.
         cell: Arc<OnceLock<Term>>,
     },
 }
 
 impl SnapControl {
+    /// A control resolved now.
+    pub fn ready(control: Term) -> SnapControl {
+        SnapControl::Ready(Box::new(control))
+    }
+
+    /// A control resolved on first access: `resolve` must capture the
+    /// machine's point-in-time resolution state (immutable, `Arc`-shared
+    /// clones).
+    pub fn deferred(resolve: impl Fn() -> Term + Send + Sync + 'static) -> SnapControl {
+        SnapControl::Deferred {
+            resolve: Arc::new(resolve),
+            cell: Arc::new(OnceLock::new()),
+        }
+    }
+
     fn get(&self) -> &Term {
         match self {
             SnapControl::Ready(t) => t,
@@ -89,53 +110,22 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Assembles a snapshot from a machine's parts. `control` must be the
-    /// machine's *resolved* (closed) control term.
-    pub fn capture(
-        control: Term,
-        dialect: Dialect,
-        memory: Memory,
-        stats: Stats,
-        halted: Option<i64>,
+    /// Assembles a snapshot of a core's state: `control` must resolve to
+    /// the core's closed control term, and `pending_faults` are the fault
+    /// plans still armed.
+    pub(crate) fn capture(
+        control: SnapControl,
+        st: &CoreState,
         pending_faults: Vec<crate::faults::FaultPlan>,
-        telem_phase: TelemetryPhase,
     ) -> Snapshot {
         Snapshot {
-            control: SnapControl::Ready(Box::new(control)),
-            dialect,
-            memory,
-            stats,
-            halted,
+            control,
+            dialect: st.dialect,
+            memory: st.mem.clone(),
+            stats: st.stats.clone(),
+            halted: st.halted,
             pending_faults,
-            telem_phase,
-        }
-    }
-
-    /// As [`Snapshot::capture`], but the resolved control is built lazily:
-    /// `resolve` must capture the machine's point-in-time resolution state
-    /// (immutable, `Arc`-shared clones) and is evaluated once, on the first
-    /// [`Snapshot::control`] access.
-    #[allow(clippy::too_many_arguments)]
-    pub fn capture_deferred(
-        resolve: impl Fn() -> Term + Send + Sync + 'static,
-        dialect: Dialect,
-        memory: Memory,
-        stats: Stats,
-        halted: Option<i64>,
-        pending_faults: Vec<crate::faults::FaultPlan>,
-        telem_phase: TelemetryPhase,
-    ) -> Snapshot {
-        Snapshot {
-            control: SnapControl::Deferred {
-                resolve: Arc::new(resolve),
-                cell: Arc::new(OnceLock::new()),
-            },
-            dialect,
-            memory,
-            stats,
-            halted,
-            pending_faults,
-            telem_phase,
+            telem_phase: st.telem.phase_state(),
         }
     }
 
@@ -219,31 +209,25 @@ impl SnapRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Stats;
     use crate::memory::{GrowthPolicy, MemConfig};
     use crate::syntax::Value;
 
     fn dummy(step: u64) -> Snapshot {
-        let mem = Memory::new(MemConfig {
+        let program = crate::machine::Program {
+            dialect: Dialect::Basic,
+            code: vec![],
+            main: Term::Halt(Value::Int(0)),
+        };
+        let config = MemConfig {
             region_budget: 16,
             growth: GrowthPolicy::Fixed,
             track_types: false,
             max_heap_words: None,
             page_words: 8,
-        });
-        let stats = Stats {
-            steps: step,
-            ..Stats::default()
         };
-        Snapshot::capture(
-            Term::Halt(Value::Int(0)),
-            Dialect::Basic,
-            mem,
-            stats,
-            None,
-            Vec::new(),
-            TelemetryPhase::default(),
-        )
+        let mut st = CoreState::load(&program, config);
+        st.stats.steps = step;
+        Snapshot::capture(SnapControl::ready(program.main), &st, Vec::new())
     }
 
     #[test]

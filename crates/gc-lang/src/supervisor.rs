@@ -36,6 +36,8 @@ use crate::syntax::Value;
 use crate::telemetry::{GcEvent, SharedObserver};
 
 /// Everything [`supervise`] needs to run a program under containment.
+/// Minus the restart policy, it is also a plain run's description:
+/// [`SuperviseSpec::load`] configures the machine of either.
 #[derive(Clone, Debug)]
 pub struct SuperviseSpec {
     /// Which backend executes the program.
@@ -69,9 +71,10 @@ pub struct SuperviseSpec {
 }
 
 impl SuperviseSpec {
-    /// A spec with the supervisor defaults: audit every 64 steps
-    /// (incremental), checkpoint every 1024 steps, 3 restarts with 10 ms
-    /// base backoff, no faults, no observer, no deadline.
+    /// A spec with the supervisor defaults — the only place they are
+    /// written down: audit every 64 steps (incremental), checkpoint every
+    /// 1024 steps, 3 restarts with 10 ms base backoff, no faults, no
+    /// observer, no deadline.
     pub fn new(backend: Backend, config: MemConfig, fuel: u64) -> SuperviseSpec {
         SuperviseSpec {
             backend,
@@ -87,6 +90,27 @@ impl SuperviseSpec {
             max_restarts: 3,
             backoff_ms: 10,
         }
+    }
+
+    /// Loads `program` as this spec describes one attempt: the backend and
+    /// memory configuration, the audit and checkpoint cadences, the fault
+    /// plans, the observer, and a deadline `timeout_ms` from now. Also the
+    /// load path of an unsupervised run, so both configure a machine the
+    /// same way.
+    pub fn load(&self, program: &Program) -> Box<dyn Machine> {
+        let mut m = self.backend.load(program, self.config);
+        m.set_verify_every(self.verify_every);
+        m.set_audit_mode(self.audit);
+        m.set_fault_plans(&self.faults);
+        m.set_checkpoint_every(self.checkpoint_every);
+        m.set_deadline(
+            self.timeout_ms
+                .map(|ms| Instant::now() + Duration::from_millis(ms)),
+        );
+        if let Some(obs) = &self.observer {
+            m.set_observer(obs.clone(), self.step_interval);
+        }
+        m
     }
 }
 
@@ -171,30 +195,24 @@ pub struct SupervisedRun {
 pub fn supervise(program: &Program, spec: &SuperviseSpec) -> SupervisedRun {
     let mut restarts: u32 = 0;
     let mut resume: Option<Snapshot> = None;
+    // Restarted attempts run without the observer (see
+    // `SuperviseSpec::observer`).
+    let restart = SuperviseSpec {
+        observer: None,
+        ..spec.clone()
+    };
     loop {
-        let mut m = spec.backend.load(program, spec.config);
-        m.set_verify_every(spec.verify_every);
-        m.set_audit_mode(spec.audit);
-        m.set_checkpoint_every(spec.checkpoint_every);
-        match &resume {
+        let mut m = match &resume {
+            None => spec.load(program),
             Some(snap) => {
+                let mut m = restart.load(program);
                 // Same program, same dialect: restore cannot fail, but the
                 // policy degrades to a from-scratch restart if it ever did.
                 // The snapshot re-arms its own pending fault plans.
-                if m.restore(snap).is_err() {
-                    m.set_fault_plans(&spec.faults);
-                }
+                m.restore(snap).ok();
+                m
             }
-            None => {
-                m.set_fault_plans(&spec.faults);
-                if let Some(obs) = &spec.observer {
-                    m.set_observer(obs.clone(), spec.step_interval);
-                }
-            }
-        }
-        if let Some(ms) = spec.timeout_ms {
-            m.set_deadline(Some(Instant::now() + Duration::from_millis(ms)));
-        }
+        };
         let start = resume.as_ref().map_or(0, Snapshot::step);
         let fuel = spec.fuel.saturating_sub(start);
         let result = catch_unwind(AssertUnwindSafe(|| m.run(fuel)));

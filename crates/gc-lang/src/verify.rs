@@ -28,10 +28,10 @@
 //! auditor is purely observational: it never touches statistics or
 //! telemetry, so an audited clean run is bit-identical to an unaudited one.
 //!
-//! Both interpreter backends expose it as `audit()` and can run it every N
-//! steps (`verify_every`); see [`crate::machine::SubstMachine::audit`] and
-//! [`crate::env_machine::EnvMachine::audit`]. [`crate::faults`] provides the
-//! adversarial counterpart that these checks must catch.
+//! The run driver runs it every N steps on every backend
+//! ([`crate::machine::Machine::set_verify_every`]; see [`crate::driver`]).
+//! [`crate::faults`] provides the adversarial counterpart that these checks
+//! must catch.
 
 use std::collections::HashSet;
 

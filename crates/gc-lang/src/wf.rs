@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use crate::error::{ErrorKind, LangError, Result};
-use crate::machine::SubstMachine;
+use crate::machine::{Machine, SubstMachine};
 use crate::syntax::{Dialect, Op, RegionName, Term, Value};
 use crate::tyck::{Checker, Ctx};
 

@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+# The benchmark helper is a package of its own (outside the workspace) that
+# drives the library API directly; build and test it here so an API change
+# breaks tier-1 rather than the next benchmark run.
+cargo test --offline --locked --manifest-path psbench/Cargo.toml -q
 # Certification parallelizes over code blocks by default; exercise the
 # serial path too so both sides of the PS_CERT_THREADS split stay green.
 PS_CERT_THREADS=1 ./target/release/psgc certify --collector generational >/dev/null

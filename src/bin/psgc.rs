@@ -138,7 +138,7 @@ fn flag_specs() -> [FlagSpec; 21] {
         FlagSpec {
             name: "--verify-every",
             metavar: Some(|| "STEPS".into()),
-            help: "audit the heap invariants every STEPS machine steps",
+            help: "audit the heap invariants every STEPS machine steps (default 0 = never; 64 under --supervise)",
             apply: |c, v| {
                 c.opts.verify_every = parse_number(v, "--verify-every")?;
                 Ok(())
@@ -174,7 +174,7 @@ fn flag_specs() -> [FlagSpec; 21] {
         FlagSpec {
             name: "--checkpoint-every",
             metavar: Some(|| "STEPS".into()),
-            help: "take a machine checkpoint every STEPS steps plus every GC boundary",
+            help: "checkpoint every STEPS steps plus every GC boundary (default 0 = never; 1024 under --supervise)",
             apply: |c, v| {
                 c.opts.checkpoint_every = parse_number(v, "--checkpoint-every")?;
                 Ok(())
