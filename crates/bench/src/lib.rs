@@ -1,8 +1,8 @@
-//! Criterion harness for the E1–E9 experiments.
+//! Criterion harness for the E1–E8 experiments.
 //!
 //! The workload builders live in [`scavenger::workloads`] so that the
-//! offline examples (`examples/e9_throughput.rs` at the repo root) and the
-//! Criterion benches in this crate share one set of programs; this crate
+//! offline examples at the repo root and the Criterion benches in this
+//! crate share one set of programs; this crate
 //! re-exports them for the benches. This package is deliberately *outside*
 //! the workspace (see the root `Cargo.toml`): Criterion is not vendored,
 //! so the workspace itself builds and tests fully offline, and this crate

@@ -44,7 +44,6 @@ pub use ps_lambda as lambda;
 pub use ps_trans as trans;
 
 use ps_collectors::CollectorImage;
-use ps_gc_lang::env_machine::EnvMachine;
 use ps_gc_lang::faults::FaultPlan;
 use ps_gc_lang::machine::{Outcome, Program, Stats, SubstMachine};
 use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
@@ -212,7 +211,9 @@ impl std::error::Error for PipelineError {}
 pub struct RunOptions {
     /// Which certified collector to link against.
     pub collector: Collector,
-    /// Interpreter backend; `None` picks [`Backend::default_for`].
+    /// Interpreter backend; `None` picks [`Backend::default_for`]:
+    /// [`Backend::Bytecode`], or [`Backend::Subst`] with
+    /// [`Self::track_types`] on.
     pub backend: Option<Backend>,
     /// Base region budget in words.
     pub budget: usize,
@@ -430,8 +431,8 @@ impl Pipeline {
         self
     }
 
-    /// Pins the interpreter backend. By default the environment machine
-    /// ([`Backend::Env`]) runs plain programs and the substitution machine
+    /// Pins the interpreter backend. By default the bytecode VM
+    /// ([`Backend::Bytecode`]) runs plain programs and the substitution machine
     /// ([`Backend::Subst`]) runs with [`Self::track_types`] on — the
     /// well-formedness judgement `⊢ (M, e)` consumes a closed term, which
     /// only the substitution machine maintains (see
@@ -639,11 +640,6 @@ impl Compiled {
         SubstMachine::load(&self.program, config)
     }
 
-    /// Creates an environment-backend machine loaded with this program.
-    pub fn env_machine(&self) -> EnvMachine {
-        EnvMachine::load(&self.program, self.opts.mem_config())
-    }
-
     /// Creates a machine on the given backend — the uniform,
     /// backend-agnostic constructor (see [`Machine`]).
     pub fn machine_for(&self, backend: Backend) -> Box<dyn Machine> {
@@ -840,11 +836,10 @@ mod tests {
         fn index_of(b: Backend) -> usize {
             match b {
                 Backend::Subst => 0,
-                Backend::Env => 1,
-                Backend::Bytecode => 2,
+                Backend::Bytecode => 1,
             }
         }
-        assert_eq!(Backend::ALL.len(), 3);
+        assert_eq!(Backend::ALL.len(), 2);
         for (i, b) in Backend::ALL.into_iter().enumerate() {
             assert_eq!(index_of(b), i, "ALL must list every backend in order");
             // Display and FromStr round-trip through the canonical name.
@@ -870,7 +865,7 @@ mod tests {
         assert!(run.stats.collections > 0);
         let meta = opts.meta();
         assert_eq!(meta.collector, "generational");
-        assert_eq!(meta.backend, "env");
+        assert_eq!(meta.backend, "bytecode");
         assert_eq!(meta.budget, 128);
     }
 

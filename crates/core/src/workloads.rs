@@ -151,8 +151,8 @@ pub fn compile_ast(p: &SrcProgram, collector: Collector, budget: usize) -> Compi
 
 /// Runs a compiled program on the substitution backend and returns its
 /// machine statistics. (Backend choice is irrelevant for the statistics —
-/// the backends agree bit-for-bit — but the E1–E8 experiments predate the
-/// environment machine and are kept on the oracle.)
+/// the backends agree bit-for-bit — and the E1–E8 experiments run on the
+/// oracle.)
 pub fn run_stats(c: &Compiled) -> ps_gc_lang::machine::Stats {
     let mut m = c.machine();
     match m.run(1_000_000_000).expect("runs") {

@@ -1,19 +1,18 @@
 //! # A register-based bytecode VM for λGC
 //!
-//! The third interpreter backend ([`Backend::Bytecode`]): interned
+//! The fast interpreter backend ([`Backend::Bytecode`]): interned
 //! [`TermId`] programs are compiled *once* into a flat instruction stream
 //! and then executed by a dispatch loop over four register files (values,
-//! tags, regions, types). Where [`crate::env_machine`] resolves every
-//! variable occurrence through a hash-map environment at run time, the
-//! compiler here resolves each occurrence to a **register slot at compile
-//! time**, so the hot path is a vector index instead of a lookup.
+//! tags, regions, types). The compiler resolves each variable occurrence
+//! to a **register slot at compile time**, so the hot path is a vector
+//! index instead of a substitution or a lookup.
 //!
 //! ## Why compile-time slot resolution is sound
 //!
 //! λGC is CPS: control never returns. Every step either descends into the
 //! body/arm of the current term or β-reduces into a *closed* code block.
-//! Consequently the set of bindings the environment machine holds at any
-//! program point is exactly the **lexical scope chain** of that point:
+//! Consequently the set of bindings live at any program point is exactly
+//! the **lexical scope chain** of that point:
 //! `let`/`open`/`typecase`/… binders on the path from the enclosing unit's
 //! root, or the code block's parameters right after a call. The compiler
 //! walks each unit once, assigns every binder a fresh slot (shadowing gets
@@ -33,7 +32,7 @@
 //! * **`Build`** — a structured operand with in-scope free variables: at
 //!   run time a mini-[`Subst`] binds exactly those variables from the
 //!   registers and substitutes. This reuses the *same* substitution
-//!   machinery as the environment machine, so resolution is identical by
+//!   machinery as the Fig. 5 machine, so resolution is identical by
 //!   construction.
 //!
 //! ## Superinstructions
@@ -56,8 +55,8 @@
 //!
 //! Telemetry hooks, [`Stats`](crate::machine::Stats) counters, error messages, and the
 //! [resolved control view](crate::machine::Machine::resolved_control) all mirror the
-//! Fig. 5 machine rule for rule; the lockstep differential suite holds all
-//! three backends to that contract.
+//! Fig. 5 machine rule for rule; the lockstep differential suite holds
+//! both backends to that contract.
 //!
 //! [`Backend::Bytecode`]: crate::machine::Backend::Bytecode
 
@@ -116,7 +115,7 @@ enum ValOp {
     /// Structured operand with in-scope free variables: instantiate the
     /// precompiled template `tpl` from the registers. `val`/`binds` keep
     /// the source form for the disassembler and for the [`VTpl::Generic`]
-    /// fallback (the [`Subst`] path, shared with the environment machine).
+    /// fallback (the [`Subst`] path).
     Build {
         val: Value,
         binds: Box<[Bind]>,
@@ -498,8 +497,8 @@ impl UnitBuilder {
         if let Value::Var(x) = v {
             return match self.lookup(scope, Ns::Val, *x) {
                 Some(slot) => ValOp::Reg(slot),
-                // A free variable resolves to itself (the environment
-                // machine's lookup would miss too).
+                // A free variable resolves to itself (substitution leaves
+                // it unchanged too).
                 None => ValOp::Imm(v.clone()),
             };
         }

@@ -82,7 +82,7 @@ pub trait Core: Sized {
     fn capture_control(&self) -> SnapControl;
 
     /// Makes the closed term `control` the new control, dropping any
-    /// environment, registers or compiled code tied to the old one.
+    /// registers or compiled code tied to the old one.
     fn restore_control(&mut self, control: &Term);
 
     /// Whether [`Core::run_fast`] is a real unobserved fast path. Only

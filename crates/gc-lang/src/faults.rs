@@ -185,7 +185,7 @@ impl std::fmt::Display for FaultPlan {
 }
 
 /// Attempts to inject `plan`'s fault into `mem`, with `root` (the current
-/// term, environment applied) as the reachability root.
+/// term, register bindings applied) as the reachability root.
 ///
 /// Returns a description of what was corrupted, or `None` if no eligible
 /// site exists yet — the caller should retry after the next step. The

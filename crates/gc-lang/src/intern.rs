@@ -18,9 +18,8 @@
 //! * **free-variable fingerprints** ([`tag_fv`], [`ty_fv`], [`term_fv`],
 //!   [`value_fv`]) — the sorted free variables of a node, computed once and
 //!   leaked, which lets [`crate::subst::Subst`] skip no-op substitutions in
-//!   O(domain) without walking the tree (generalizing the closed-range fast
-//!   path of the environment machine to *every* substitution, at every
-//!   level from tags up to whole terms);
+//!   O(domain) without walking the tree, at every level from tags up to
+//!   whole terms;
 //! * **α-canonical forms** ([`canon_tag`], [`canon_ty`]) — each binder is
 //!   renamed to a fixed placeholder and each bound variable to its
 //!   per-namespace de Bruijn index (spelled `!i` / `!ri` / `!ai`; `!` is

@@ -29,16 +29,11 @@
 //! * [`driver`] — the one run loop every backend runs under: audit
 //!   cadence, fault injection, checkpoints and the deadline, around a
 //!   backend's small step core;
-//! * [`env_machine`] — an environment-based (CEK-style) fast path for the
-//!   same semantics: no per-step substitution, continuations shared as
-//!   interned [`intern::TermId`]s; observationally identical to
-//!   [`machine`] (including statistics), selected via
-//!   [`machine::Backend`];
 //! * [`bytecode`] — a register-based bytecode VM for the same semantics:
 //!   interned programs compiled once to a flat instruction stream with
-//!   compile-time slot resolution and superinstructions; the
-//!   third [`machine::Backend`], observationally identical to the other
-//!   two;
+//!   compile-time slot resolution and superinstructions; the fast
+//!   [`machine::Backend`], observationally identical to [`machine`]
+//!   (including statistics);
 //! * [`wf`] — machine-state well-formedness (`⊢ (M,e)`, Fig. 7), the
 //!   engine behind the preservation/progress property tests;
 //! * [`verify`] — the runtime heap-invariant auditor: Fig. 7's `⊢ M : Ψ`
@@ -76,7 +71,6 @@
 pub mod ablation;
 pub mod bytecode;
 pub mod driver;
-pub mod env_machine;
 pub mod error;
 pub mod faults;
 pub mod intern;

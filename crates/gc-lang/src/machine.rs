@@ -119,28 +119,19 @@ impl std::fmt::Display for Stats {
 ///   step, but the state is always a closed term, which is what the
 ///   well-formedness judgement `⊢ (M, e)` of `crate::wf` consumes. This
 ///   is the paper-faithful oracle.
-/// * [`Backend::Env`] — the environment machine
-///   ([`crate::env_machine::EnvMachine`]): terms run against a
-///   value/tag/region environment, continuations are shared via `Rc`,
-///   and variables are resolved lazily at use sites. O(1) per step
-///   modulo value size.
 /// * [`Backend::Bytecode`] — the register-based bytecode VM
 ///   ([`crate::bytecode::BcMachine`]): terms are compiled once to a flat
 ///   instruction stream with variable occurrences resolved to register
-///   slots at compile time, then executed by a dispatch loop. The fastest
-///   backend; the default for plain runs and benchmarks is still chosen
-///   by [`Backend::default_for`].
+///   slots at compile time, then executed by a dispatch loop. The fast
+///   path, and the backend [`Backend::default_for`] picks for plain runs.
 ///
 /// New code should not `match` on `Backend` outside this module: construct
 /// machines through [`Backend::load`] and drive test matrices and CLI
-/// parsing from [`Backend::ALL`], so a future fourth backend is a
-/// one-module change.
+/// parsing from [`Backend::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Fig. 5 substitution semantics (the reference/oracle).
     Subst,
-    /// Environment-based interpreter.
-    Env,
     /// Register-based bytecode VM (fast path).
     Bytecode,
 }
@@ -148,14 +139,13 @@ pub enum Backend {
 impl Backend {
     /// Every backend, in canonical order (drives CLI metavars and the
     /// exhaustive collector × backend test matrices).
-    pub const ALL: [Backend; 3] = [Backend::Subst, Backend::Env, Backend::Bytecode];
+    pub const ALL: [Backend; 2] = [Backend::Subst, Backend::Bytecode];
 
     /// The canonical name, as accepted by [`FromStr`] and printed by
     /// [`Display`](std::fmt::Display).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Subst => "subst",
-            Backend::Env => "env",
             Backend::Bytecode => "bytecode",
         }
     }
@@ -163,12 +153,12 @@ impl Backend {
     /// The backend picked when the caller expresses no preference: the
     /// substitution machine when the memory typing `Ψ` is being tracked
     /// (its closed-term states feed the `⊢ (M, e)` checker), the
-    /// environment fast path otherwise.
+    /// bytecode VM otherwise.
     pub fn default_for(track_types: bool) -> Backend {
         if track_types {
             Backend::Subst
         } else {
-            Backend::Env
+            Backend::Bytecode
         }
     }
 
@@ -178,7 +168,6 @@ impl Backend {
     pub fn load(self, program: &Program, config: MemConfig) -> Box<dyn Machine> {
         match self {
             Backend::Subst => Box::new(SubstMachine::load(program, config)),
-            Backend::Env => Box::new(crate::env_machine::EnvMachine::load(program, config)),
             Backend::Bytecode => Box::new(crate::bytecode::BcMachine::load(program, config)),
         }
     }
@@ -195,10 +184,9 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> std::result::Result<Backend, String> {
         match s {
             "subst" | "substitution" => Ok(Backend::Subst),
-            "env" | "environment" => Ok(Backend::Env),
             "bytecode" | "bc" => Ok(Backend::Bytecode),
             other => Err(format!(
-                "unknown backend {other:?} (expected subst|env|bytecode)"
+                "unknown backend {other:?} (expected subst|bytecode)"
             )),
         }
     }
@@ -283,8 +271,7 @@ pub enum StepOutcome {
 /// every step.
 ///
 /// Obtain one with [`Backend::load`]; the concrete types
-/// ([`SubstMachine`], [`crate::env_machine::EnvMachine`],
-/// [`crate::bytecode::BcMachine`]) remain available for code that needs
+/// ([`SubstMachine`], [`crate::bytecode::BcMachine`]) remain available for code that needs
 /// backend-specific views (e.g. `crate::wf` consumes the substitution
 /// machine's closed term directly).
 pub trait Machine {
@@ -360,7 +347,7 @@ pub trait Machine {
     /// The halt value, if the machine has halted.
     fn halted(&self) -> Option<i64>;
 
-    /// The current control term with every environment/register binding
+    /// The current control term with every register binding
     /// substituted in — a closed term structurally identical to the
     /// substitution oracle's state at the same step. This is the view the
     /// heap auditor and fault injector consume.

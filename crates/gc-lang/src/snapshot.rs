@@ -12,17 +12,15 @@
 //!
 //! Control capture can be **deferred** ([`SnapControl::deferred`]):
 //! instead of materializing the resolved term at checkpoint time, a backend
-//! hands over the point-in-time ingredients (e.g. an environment clone plus
-//! the raw control id — everything `Arc`-shared and immutable) and the term
-//! is built on first [`Snapshot::control`] access. Restore and triage are
-//! rare; checkpoints are not. This keeps the per-checkpoint cost flat even
-//! for backends whose resolution walks a term (env, bytecode).
+//! hands over the point-in-time ingredients (e.g. the register bindings in
+//! scope plus the raw control — everything `Arc`-shared and immutable) and
+//! the term is built on first [`Snapshot::control`] access. Restore and
+//! triage are rare; checkpoints are not. This keeps the per-checkpoint cost
+//! flat even for a backend whose resolution walks a term (bytecode).
 //!
 //! Capturing the *resolved* control is what makes snapshots portable across
-//! backends: the substitution machine restores it as its term, the
-//! environment machine as a fresh control with an empty environment (sound
-//! because the term is closed), and the bytecode machine recompiles it as a
-//! new entry unit. The differential suites assert that a restored run is
+//! backends: the substitution machine restores it as its term, and the
+//! bytecode machine recompiles it as a new entry unit. The differential suites assert that a restored run is
 //! byte-identical — same [`crate::machine::Stats`], same telemetry stream,
 //! same final value — to the uninterrupted one.
 //!

@@ -43,15 +43,8 @@ fn touches<V>(fv: &[Symbol], map: &SymbolMap<V>) -> bool {
     }
 }
 
-/// A simultaneous substitution over the four λGC namespaces.
-///
-/// Besides one-shot application (built with [`Subst::with_val`] etc. and
-/// applied by [`Subst::term`]), a `Subst` also serves as the mutable
-/// *environment* of the environment machine
-/// ([`crate::env_machine::EnvMachine`]): the `insert_*` methods extend the
-/// maps in place, and resolution of a value/tag/region against the
-/// environment is exactly substitution application. Sharing the
-/// implementation guarantees both backends resolve identically.
+/// A simultaneous substitution over the four λGC namespaces, built with
+/// [`Subst::with_val`] etc. and applied by [`Subst::term`].
 #[derive(Clone, Debug, Default)]
 pub struct Subst {
     tags: SymbolMap<Tag>,
@@ -117,16 +110,16 @@ impl Subst {
         self
     }
 
-    // ----- in-place extension (environment-machine entry points) --------
+    // ----- in-place extension --------------------------------------------
 
     /// Extends with `t ↦ τ` in place.
-    pub(crate) fn insert_tag(&mut self, t: Symbol, tau: Tag) {
+    fn insert_tag(&mut self, t: Symbol, tau: Tag) {
         free_tag_vars(&tau, &mut self.range_tvars);
         self.tags.insert(t, tau);
     }
 
     /// Extends with `r ↦ ρ` in place.
-    pub(crate) fn insert_rgn(&mut self, r: Symbol, rho: Region) {
+    fn insert_rgn(&mut self, r: Symbol, rho: Region) {
         if let Region::Var(v) = rho {
             self.range_rvars.insert(v);
         }
@@ -134,7 +127,7 @@ impl Subst {
     }
 
     /// Extends with `α ↦ σ` in place (capture caveats as [`Self::with_alpha`]).
-    pub(crate) fn insert_alpha(&mut self, a: Symbol, sigma: Ty) {
+    fn insert_alpha(&mut self, a: Symbol, sigma: Ty) {
         let mut dropped_rvars = HashSet::new();
         ty_free_vars(
             &sigma,
@@ -146,7 +139,7 @@ impl Subst {
     }
 
     /// Extends with `x ↦ v` in place (capture caveats as [`Self::with_val`]).
-    pub(crate) fn insert_val(&mut self, x: Symbol, v: Value) {
+    fn insert_val(&mut self, x: Symbol, v: Value) {
         // Values may mention tags (in packages); collect them so binders in
         // terms get renamed when needed.
         let mut dropped_rvars = HashSet::new();
@@ -166,8 +159,7 @@ impl Subst {
     // have already passed through the current substitution. Such ranges
     // are closed, so they contribute nothing to the capture-check sets and
     // walking them (`value_free_vars` on every `let`, `ty_free_vars` on
-    // every closure-environment package) is pure overhead — measurably the
-    // dominant per-step cost of the environment machine. The `bind_*`
+    // every closure-environment package) is pure overhead. The `bind_*`
     // methods skip that bookkeeping. Both machines must use the same
     // binding policy so their rename behavior (and therefore their states)
     // stay bit-identical; the typechecker, whose ranges are genuinely
@@ -195,19 +187,6 @@ impl Subst {
     /// be a closed runtime value).
     pub(crate) fn bind_val(&mut self, x: Symbol, v: Value) {
         self.vals.insert(x, v);
-    }
-
-    /// Empties every map, keeping allocated capacity. The environment
-    /// machine calls this at each code application: λGC code blocks are
-    /// closed, so the caller's bindings can never be referenced again.
-    pub(crate) fn clear(&mut self) {
-        self.tags.clear();
-        self.rgns.clear();
-        self.alphas.clear();
-        self.vals.clear();
-        self.range_tvars.clear();
-        self.range_rvars.clear();
-        self.range_avars.clear();
     }
 
     /// Convenience: the single-tag substitution `[τ/t]`.

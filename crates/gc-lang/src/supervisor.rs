@@ -660,7 +660,7 @@ mod tests {
 
     #[test]
     fn deadlines_restart_then_give_up() {
-        let mut spec = SuperviseSpec::new(Backend::Env, config(), 1_000_000);
+        let mut spec = SuperviseSpec::new(Backend::Bytecode, config(), 1_000_000);
         spec.timeout_ms = Some(0);
         spec.max_restarts = 2;
         spec.backoff_ms = 0;

@@ -15,7 +15,7 @@
 //!   default, and a machine with no observer attached pays only an
 //!   `Option` check per hook site (the "disabled" path measured by E10).
 //! * [`Telemetry`] — the emitter state shared by both backends. The
-//!   substitution machine and the environment machine call the same hooks
+//!   substitution machine and the bytecode VM call the same hooks
 //!   at the same rule applications on the same shared [`Memory`], so the
 //!   two backends produce *identical* event sequences (checked by the
 //!   differential suites).
@@ -1765,7 +1765,7 @@ mod tests {
             let mut r = rec.borrow_mut();
             r.meta = Some(RunMeta {
                 collector: "basic".into(),
-                backend: "env".into(),
+                backend: "bytecode".into(),
                 budget: 4,
                 growth: "fixed".into(),
                 fuel: 100,

@@ -42,8 +42,8 @@ use crate::tyck::{Checker, Ctx};
 use crate::wf;
 
 /// Audits a memory against the invariants of Fig. 7, with `root` as the
-/// reachability root (the machine's current term, with any environment
-/// already applied).
+/// reachability root (the machine's current term, with any register
+/// bindings already applied).
 ///
 /// # Errors
 ///
@@ -316,7 +316,7 @@ fn audit_pointers(mem: &Memory, root: &Term) -> Result<()> {
 /// Check 5: `⊢ M : Ψ` proper — every (for λGCforw: reachable) stored value
 /// checks against its `Ψ` entry. The current term is *not* re-typechecked
 /// here: the heap side is what corruption perturbs, and skipping the term
-/// keeps the audit identical across the substitution and environment
+/// keeps the audit identical across the substitution and bytecode
 /// backends (whose in-flight terms differ only by pending substitutions).
 fn audit_psi(mem: &Memory, dialect: Dialect, root: &Term) -> Result<()> {
     let checker = Checker::from_memory(dialect, mem);

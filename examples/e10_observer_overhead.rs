@@ -72,7 +72,7 @@ fn main() {
             )
         }))
         .collect();
-    for backend in [Backend::Env, Backend::Subst] {
+    for backend in [Backend::Bytecode, Backend::Subst] {
         let mut geomean = 0.0f64;
         let mut n = 0u32;
         println!("\nbackend: {backend}");
@@ -89,8 +89,7 @@ fn main() {
         );
     }
     println!(
-        "\nThe disabled-observer cost (vs the pre-telemetry build) is the E9\n\
-         comparison: rerun `cargo run --release --example e9_throughput` and\n\
-         compare against the recorded E9 numbers in EXPERIMENTS.md."
+        "\nThe disabled-observer cost across builds is tracked by the bare\n\
+         steps/s rows of `scripts/bench.sh` (BENCH_E17.json)."
     );
 }

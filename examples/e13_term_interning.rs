@@ -8,8 +8,8 @@
 //!    the whole program on every step; with interned terms a continuation
 //!    "clone" is a `u32` copy and `Subst` skips any subtree whose
 //!    free-variable fingerprint misses the domain, handing the same id
-//!    back. The environment machine benefits on its frame loads and the
-//!    resolved-control materialization. Before/after numbers live in
+//!    back. The bytecode VM benefits on its compile-time operand
+//!    classification and `Build` operands. Before/after numbers live in
 //!    EXPERIMENTS.md §E13 (before = the pre-refactor tree, same harness).
 //!
 //! 2. **Parallel certification.** Code blocks are checked under the same
@@ -31,7 +31,7 @@ use scavenger::gc_lang::machine::{Outcome, Program};
 use scavenger::gc_lang::syntax::{Dialect, Term, Value};
 use scavenger::gc_lang::tyck::Checker;
 use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
-use scavenger::{Collector, Compiled};
+use scavenger::{Backend, Collector, Compiled};
 
 const REPS: u32 = 5;
 /// Warm certification of one image is sub-millisecond; time it in batches
@@ -70,29 +70,18 @@ fn battery() -> Vec<(String, Compiled)> {
 
 /// Best-of-`REPS` wall-clock of a plain (untracked) run, plus its step
 /// count, on the chosen backend.
-fn time_run(compiled: &Compiled, env_backend: bool) -> (u64, f64) {
+fn time_run(compiled: &Compiled, backend: Backend) -> (u64, f64) {
     let mut best = f64::INFINITY;
     let mut steps = 0;
     for _ in 0..REPS {
-        if env_backend {
-            let mut m = compiled.env_machine();
-            let t0 = Instant::now();
-            match m.run(1_000_000_000).expect("runs") {
-                Outcome::Halted(_) => {}
-                other => panic!("abnormal outcome: {other:?}"),
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-            steps = m.stats().steps;
-        } else {
-            let mut m = compiled.machine();
-            let t0 = Instant::now();
-            match m.run(1_000_000_000).expect("runs") {
-                Outcome::Halted(_) => {}
-                other => panic!("abnormal outcome: {other:?}"),
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-            steps = m.stats().steps;
+        let mut m = compiled.machine_for(backend);
+        let t0 = Instant::now();
+        match m.run(1_000_000_000).expect("runs") {
+            Outcome::Halted(_) => {}
+            other => panic!("abnormal outcome: {other:?}"),
         }
+        best = best.min(t0.elapsed().as_secs_f64());
+        steps = m.stats().steps;
     }
     (steps, best)
 }
@@ -117,17 +106,14 @@ fn time_certification(program: &Program, threads: usize) -> f64 {
 fn main() {
     println!("E13: term/value interning and parallel certification");
 
-    for (label, env_backend) in [
-        ("substitution machine", false),
-        ("environment machine", true),
-    ] {
-        println!("\n-- battery runs, {label} (plain, untracked) --");
+    for backend in Backend::ALL {
+        println!("\n-- battery runs, {backend} backend (plain, untracked) --");
         println!(
             "{:<34} {:>8} {:>12} {:>12}",
             "workload", "steps", "wall ms", "steps/s"
         );
         for (name, compiled) in &battery() {
-            let (steps, secs) = time_run(compiled, env_backend);
+            let (steps, secs) = time_run(compiled, backend);
             println!(
                 "{name:<34} {steps:>8} {:>12.2} {:>12.0}",
                 secs * 1e3,

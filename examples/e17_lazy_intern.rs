@@ -9,8 +9,8 @@
 //! rows, interleaved best-of-5 (every configuration is timed inside the
 //! same rep loop, so all samples see the same scheduler conditions):
 //!
-//! * **throughput** — steps/second per backend, plus the bytecode-over-env
-//!   speedup the E14 target is stated against;
+//! * **throughput** — steps/second per backend, plus the bytecode VM's
+//!   speedup over the Fig. 5 substitution oracle;
 //! * **audit ratio** — wall-clock of a `--verify-every 1 --audit
 //!   incremental` run over the bare run (both with Ψ tracking on, as in
 //!   E15), per backend.
@@ -46,23 +46,35 @@ fn timed_run(c: &Compiled, backend: Backend, track: bool, every: u64) -> (u64, f
     (run.stats.steps, t0.elapsed().as_secs_f64())
 }
 
+/// Number of backends; per-backend arrays are indexed in
+/// [`Backend::ALL`] order.
+const N: usize = Backend::ALL.len();
+const SUBST: usize = 0;
+const BYTECODE: usize = 1;
+
 /// One measured workload row.
 struct Row {
     name: String,
     steps: u64,
     /// Best steps/second per backend.
-    sps: [f64; 3],
+    sps: [f64; N],
     /// verify-every-1 incremental wall over bare wall, Ψ tracked, per
     /// backend.
-    audit_ratio: [f64; 3],
+    audit_ratio: [f64; N],
+}
+
+impl Row {
+    fn bytecode_over_subst(&self) -> f64 {
+        self.sps[BYTECODE] / self.sps[SUBST]
+    }
 }
 
 /// Measures every configuration of one workload, reps interleaved.
 fn measure(name: &str, c: &Compiled, reps: u32) -> Row {
     let mut steps = 0u64;
-    let mut best = [f64::INFINITY; 3];
-    let mut bare_tracked = [f64::INFINITY; 3];
-    let mut audited = [f64::INFINITY; 3];
+    let mut best = [f64::INFINITY; N];
+    let mut bare_tracked = [f64::INFINITY; N];
+    let mut audited = [f64::INFINITY; N];
     for _ in 0..reps {
         for (i, backend) in Backend::ALL.into_iter().enumerate() {
             let (s, plain) = timed_run(c, backend, false, 0);
@@ -80,12 +92,11 @@ fn measure(name: &str, c: &Compiled, reps: u32) -> Row {
             audited[i] = audited[i].min(inc);
         }
     }
-    let sps = |secs: [f64; 3]| secs.map(|t| steps as f64 / t);
     Row {
         name: name.to_string(),
         steps,
-        sps: sps(best),
-        audit_ratio: [0, 1, 2].map(|i| audited[i] / bare_tracked[i]),
+        sps: best.map(|t| steps as f64 / t),
+        audit_ratio: std::array::from_fn(|i| audited[i] / bare_tracked[i]),
     }
 }
 
@@ -144,8 +155,8 @@ fn workloads(smoke: bool) -> Vec<(String, Compiled)> {
 }
 
 fn to_json(rows: &[Row], reps: u32) -> String {
-    let names = ["subst", "env", "bytecode"];
-    let trip = |xs: &[f64; 3]| {
+    let names = Backend::ALL.map(Backend::name);
+    let per_backend = |xs: &[f64; N]| {
         names
             .iter()
             .zip(xs)
@@ -170,13 +181,13 @@ fn to_json(rows: &[Row], reps: u32) -> String {
              \"audit_ratio_incremental\": {{{}}}}}",
             r.name,
             r.steps,
-            trip(&r.sps),
+            per_backend(&r.sps),
             ratios
         );
         s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    let bc_env = geomean(rows.iter().map(|r| r.sps[2] / r.sps[1]));
+    let bc_subst = geomean(rows.iter().map(Row::bytecode_over_subst));
     let ratio_geo: Vec<String> = names
         .iter()
         .enumerate()
@@ -189,7 +200,7 @@ fn to_json(rows: &[Row], reps: u32) -> String {
         .collect();
     let _ = writeln!(
         s,
-        "  \"geomean\": {{\"bytecode_over_env\": {bc_env:.3}, \
+        "  \"geomean\": {{\"bytecode_over_subst\": {bc_subst:.3}, \
          \"audit_ratio_incremental\": {{{}}}}}",
         ratio_geo.join(", ")
     );
@@ -209,33 +220,31 @@ fn main() {
 
     println!("E17: execution throughput and incremental-audit cost");
     println!(
-        "{:<30} {:>10} {:>11} {:>11} {:>7} {:>7} {:>7} {:>7}",
-        "workload", "steps", "env st/s", "bc st/s", "bc/env", "x(sub)", "x(env)", "x(bc)"
+        "{:<30} {:>10} {:>11} {:>11} {:>7} {:>7} {:>7}",
+        "workload", "steps", "sub st/s", "bc st/s", "bc/sub", "x(sub)", "x(bc)"
     );
     let cases = workloads(smoke);
     let mut rows = Vec::new();
     for (name, compiled) in &cases {
         let row = measure(name, compiled, reps);
         println!(
-            "{:<30} {:>10} {:>11.0} {:>11.0} {:>6.1}x {:>6.2} {:>6.2} {:>6.2}",
+            "{:<30} {:>10} {:>11.0} {:>11.0} {:>6.1}x {:>6.2} {:>6.2}",
             row.name,
             row.steps,
-            row.sps[1],
-            row.sps[2],
-            row.sps[2] / row.sps[1],
-            row.audit_ratio[0],
-            row.audit_ratio[1],
-            row.audit_ratio[2],
+            row.sps[SUBST],
+            row.sps[BYTECODE],
+            row.bytecode_over_subst(),
+            row.audit_ratio[SUBST],
+            row.audit_ratio[BYTECODE],
         );
         rows.push(row);
     }
     println!(
-        "\ngeomean bytecode/env: {:.1}x; \
-         audit ratios subst {:.2}x, env {:.2}x, bytecode {:.2}x",
-        geomean(rows.iter().map(|r| r.sps[2] / r.sps[1])),
-        geomean(rows.iter().map(|r| r.audit_ratio[0])),
-        geomean(rows.iter().map(|r| r.audit_ratio[1])),
-        geomean(rows.iter().map(|r| r.audit_ratio[2])),
+        "\ngeomean bytecode/subst: {:.1}x; \
+         audit ratios subst {:.2}x, bytecode {:.2}x",
+        geomean(rows.iter().map(Row::bytecode_over_subst)),
+        geomean(rows.iter().map(|r| r.audit_ratio[SUBST])),
+        geomean(rows.iter().map(|r| r.audit_ratio[BYTECODE])),
     );
     if let Some(path) = json_path {
         std::fs::write(&path, to_json(&rows, reps)).expect("write JSON");

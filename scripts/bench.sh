@@ -17,7 +17,7 @@ if [ "${1:-}" = "--smoke" ]; then
   ./target/release/examples/e17_lazy_intern --smoke --json "$out"
   # The smoke gate: the emitted JSON must be well-shaped.
   grep -q '"experiment": "E17"' "$out"
-  grep -q '"bytecode_over_env"' "$out"
+  grep -q '"bytecode_over_subst"' "$out"
 else
   ./target/release/examples/e17_lazy_intern --json BENCH_E17.json
 fi

@@ -29,7 +29,7 @@ printf 'fun build (n : int) : int * int = if0 n then (0, 0) else (let rest = bui
 # audited every step must be byte-identical to the unaudited run — stdout,
 # stats, metrics, page counters — on every backend. `cmp` on the whole
 # observable output is the gate.
-for backend in subst env bytecode; do
+for backend in subst bytecode; do
   plain="$(./target/release/psgc run "$tmp" --backend "$backend" --budget 64 --stats --stats-pages --metrics 2>&1)"
   audited="$(./target/release/psgc run "$tmp" --backend "$backend" --budget 64 --verify-every 1 --audit incremental --stats --stats-pages --metrics 2>&1)"
   if [ "$plain" != "$audited" ]; then

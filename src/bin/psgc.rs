@@ -93,7 +93,7 @@ fn flag_specs() -> [FlagSpec; 21] {
         FlagSpec {
             name: "--backend",
             metavar: Some(|| alts(Backend::ALL)),
-            help: "interpreter backend (default env; subst with --track-types)",
+            help: "interpreter backend (default bytecode; subst with --track-types)",
             apply: |c, v| {
                 c.opts.backend = Some(v.parse()?);
                 Ok(())

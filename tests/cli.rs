@@ -71,9 +71,43 @@ fn help_is_generated_from_the_flag_and_command_tables() {
     for c in Collector::ALL {
         assert!(help.contains(c.name()), "help must name collector {c}");
     }
-    assert!(help.contains("subst|env|bytecode"));
+    assert!(help.contains("subst|bytecode"));
+    assert!(help.contains("default bytecode; subst with --track-types"));
     assert!(help.contains("fixed|adaptive"));
     assert!(help.contains("incremental|full"));
+}
+
+#[test]
+fn plain_runs_default_to_bytecode_and_track_types_to_subst() {
+    let prog = write_program("default_backend.lam");
+    let prog = prog.to_str().unwrap();
+    let stats = |extra: &[&str]| {
+        let out = psgc(&[&["run", prog, "--stats"][..], extra].concat());
+        assert_eq!(exit_code(&out), 0, "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        (stdout, stderr)
+    };
+    let (plain_out, plain_err) = stats(&[]);
+    let (subst_out, subst_err) = stats(&["--backend", "subst"]);
+    assert_eq!(plain_out.trim(), "3628800");
+    assert!(
+        plain_err.starts_with("backend:          bytecode\n"),
+        "{plain_err}"
+    );
+    // The same result and the same counters as the oracle.
+    assert_eq!(plain_out, subst_out);
+    assert_eq!(
+        plain_err.replacen("bytecode", "subst", 1),
+        subst_err,
+        "plain run's stats diverge from the oracle's"
+    );
+    let (typed_out, typed_err) = stats(&["--track-types"]);
+    assert_eq!(typed_out, plain_out);
+    assert!(
+        typed_err.starts_with("backend:          subst\n"),
+        "{typed_err}"
+    );
 }
 
 #[test]
@@ -96,6 +130,7 @@ fn exit_codes_distinguish_failure_classes() {
         2
     );
     assert_eq!(exit_code(&psgc(&["run", prog, "--budget", "many"])), 2);
+    assert_eq!(exit_code(&psgc(&["run", prog, "--backend", "env"])), 2);
     assert_eq!(exit_code(&psgc(&["run", prog, "--budget"])), 2);
     assert_eq!(exit_code(&psgc(&["run"])), 2);
 

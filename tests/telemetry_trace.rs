@@ -108,7 +108,7 @@ fn traces_validate_and_reflect_collector_behaviour() {
     for (name, src, expected) in PROGRAMS {
         for collector in Collector::ALL {
             let label = format!("{name}/{collector}");
-            let rec = record_run(collector, Backend::Env, src, *expected, &label);
+            let rec = record_run(collector, Backend::Bytecode, src, *expected, &label);
             let trace = rec.to_jsonl();
             let summary = validate_jsonl_trace(&trace)
                 .unwrap_or_else(|e| panic!("{label}: trace invalid: {e}"));
