@@ -43,10 +43,12 @@ pub use ps_ir as ir;
 pub use ps_lambda as lambda;
 pub use ps_trans as trans;
 
+use ps_clos::syntax::CProgram;
 use ps_collectors::CollectorImage;
 use ps_gc_lang::faults::FaultPlan;
 use ps_gc_lang::machine::{Outcome, Program, Stats, SubstMachine};
 use ps_gc_lang::memory::{GrowthPolicy, MemConfig};
+use ps_gc_lang::syntax::Dialect;
 
 pub use ps_gc_lang::memory::PageStats;
 use ps_gc_lang::tyck::Checker;
@@ -93,6 +95,32 @@ impl Collector {
             Collector::Basic => ps_collectors::basic::collector(),
             Collector::Forwarding => ps_collectors::forwarding::collector(),
             Collector::Generational => ps_collectors::generational::collector(),
+        }
+    }
+
+    /// The λGC dialect the collector's image is written in and certified
+    /// against.
+    pub fn dialect(self) -> Dialect {
+        match self {
+            Collector::Basic => Dialect::Basic,
+            Collector::Forwarding => Dialect::Forwarding,
+            Collector::Generational => Dialect::Generational,
+        }
+    }
+
+    /// Translates a closure-converted program to λGC, linked with this
+    /// collector's image.
+    ///
+    /// # Errors
+    ///
+    /// Returns the translation error for programs outside the fragment the
+    /// translation handles.
+    pub fn translate(self, clos: &CProgram) -> Result<Program, ps_trans::TransError> {
+        let image = self.image();
+        match self {
+            Collector::Basic => ps_trans::basic::translate(clos, &image),
+            Collector::Forwarding => ps_trans::forwarding::translate(clos, &image),
+            Collector::Generational => ps_trans::generational::translate(clos, &image),
         }
     }
 
@@ -343,13 +371,10 @@ impl RunOptions {
         if self.check_stages {
             ps_clos::tyck::check_program(&clos).map_err(PipelineError::ClosType)?;
         }
-        let image = self.collector.image();
-        let program = match self.collector {
-            Collector::Basic => ps_trans::basic::translate(&clos, &image),
-            Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-            Collector::Generational => ps_trans::generational::translate(&clos, &image),
-        }
-        .map_err(PipelineError::Trans)?;
+        let program = self
+            .collector
+            .translate(&clos)
+            .map_err(PipelineError::Trans)?;
         Ok(Compiled {
             opts: self.clone(),
             source: src,

@@ -138,13 +138,7 @@ pub fn live_dag_churn(depth: u32, k: i64) -> SrcProgram {
 pub fn compile_ast(p: &SrcProgram, collector: Collector, budget: usize) -> Compiled {
     let cps = ps_clos::cps::cps_program(p).expect("cps");
     let clos = ps_clos::cc::cc_program(&cps).expect("cc");
-    let image = collector.image();
-    let program = match collector {
-        Collector::Basic => ps_trans::basic::translate(&clos, &image),
-        Collector::Forwarding => ps_trans::forwarding::translate(&clos, &image),
-        Collector::Generational => ps_trans::generational::translate(&clos, &image),
-    }
-    .expect("translate");
+    let program = collector.translate(&clos).expect("translate");
     let config = Pipeline::new(collector).region_budget(budget).config();
     Compiled::from_parts(collector, config, p.clone(), clos, program)
 }

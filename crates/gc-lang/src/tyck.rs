@@ -22,8 +22,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use ps_ir::Symbol;
 
@@ -36,17 +34,6 @@ use crate::moper::ty_eq;
 use crate::subst::{ty_regions, Subst};
 use crate::syntax::{CodeDef, Dialect, Kind, Op, Region, RegionName, Tag, Term, Ty, Value, CD};
 use crate::tags;
-
-/// Worker count for parallel code-block certification: `PS_CERT_THREADS`
-/// if set (clamped to ≥ 1; `1` forces the serial path), otherwise the
-/// machine's available parallelism. Unparsable values fall back to serial
-/// rather than guessing.
-fn cert_threads() -> usize {
-    match std::env::var("PS_CERT_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().map_or(1, |n| n.max(1)),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
 
 /// The memory type `Ψ`: region name → offset → stored-value type.
 pub type PsiTable = BTreeMap<RegionName, BTreeMap<u32, Ty>>;
@@ -181,18 +168,14 @@ impl<'p> Checker<'p> {
 
     // ===== whole programs ================================================
 
-    /// Checks a whole program: every code block in `cd`, then the main term
-    /// under empty environments (Definition 6.3 without a data store).
-    ///
-    /// Code blocks are certified in parallel (they are independent: each is
-    /// closed and checked against the same `Ψ|cd`); set `PS_CERT_THREADS=1`
-    /// to force the serial path, or `PS_CERT_THREADS=n` to pin the worker
-    /// count. The verdict and the reported error are identical either way.
+    /// Checks a whole program: every code block in `cd`, in block order,
+    /// then the main term under empty environments (Definition 6.3 without
+    /// a data store).
     ///
     /// # Errors
     ///
-    /// Returns the first kinding/typing error found — in block order, not
-    /// completion order — with context naming the offending code block.
+    /// Returns the first kinding/typing error found, with context naming
+    /// the offending code block.
     pub fn check_program(program: &Program) -> Result<()> {
         let mut cd_entries = BTreeMap::new();
         for (i, def) in program.code.iter().enumerate() {
@@ -201,50 +184,14 @@ impl<'p> Checker<'p> {
         let mut psi = PsiTable::new();
         psi.insert(CD, cd_entries);
         let checker = Checker::with_psi(program.dialect, psi);
-        checker.check_code_blocks(&program.code)?;
+        for def in &program.code {
+            checker
+                .check_code(def)
+                .map_err(|e| e.in_context(format!("code block {}", def.name)))?;
+        }
         checker
             .check_term(&Ctx::empty(), &program.main)
             .map_err(|e| e.in_context("main term"))
-    }
-
-    /// Certifies every code block of a program, fanning out over
-    /// [`cert_threads`] workers when there is more than one block to check.
-    /// The only state shared between workers is the interning layer, whose
-    /// read paths (id deref, memo probes) are lock-free and whose hash-cons
-    /// tables are sharded, so workers do not serialize on it; results land
-    /// in per-block slots drained in block order, so a parallel run reports
-    /// exactly the error a serial run would.
-    fn check_code_blocks(&self, code: &[CodeDef]) -> Result<()> {
-        let threads = cert_threads().min(code.len());
-        if threads <= 1 {
-            for def in code {
-                self.check_code(def)
-                    .map_err(|e| e.in_context(format!("code block {}", def.name)))?;
-            }
-            return Ok(());
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Result<()>>> = code.iter().map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(def) = code.get(i) else { break };
-                    let res = self
-                        .check_code(def)
-                        .map_err(|e| e.in_context(format!("code block {}", def.name)));
-                    // Each index is claimed by exactly one worker.
-                    let _ = slots[i].set(res);
-                });
-            }
-        });
-        for slot in slots {
-            // The scope joins every worker, and the work counter stops
-            // handing out indices only after the last slot is claimed.
-            #[allow(clippy::expect_used)]
-            slot.into_inner().expect("slot filled by a joined worker")?;
-        }
-        Ok(())
     }
 
     /// Checks a code block (the `λ[t̄:κ̄][r̄](x̄:σ̄).e` rule of Fig. 6):

@@ -1,34 +1,20 @@
-//! Generic hash-consing arenas.
+//! A shared hash-consing arena and the lock-free id-indexed storage behind
+//! it.
 //!
-//! [`Interner<T>`] assigns each structurally distinct value of `T` a dense
-//! `u32` id and stores the value once, forever: interned nodes are leaked
-//! into `&'static` storage, so an id can be dereferenced without holding
-//! any lock for the lifetime of the process. Equality of ids is equality
-//! of values, which turns deep structural comparisons into integer
-//! compares and makes ids usable as memo-table keys.
+//! [`ConcurrentInterner<T>`] assigns each structurally distinct value of
+//! `T` a dense `u32` id and stores the value once, forever: interned nodes
+//! are leaked into `&'static` storage. Equality of ids is equality of
+//! values, which turns deep structural comparisons into integer compares
+//! and makes ids usable as memo-table keys.
 //!
-//! The plain [`Interner`] is not synchronized; callers wrap it in an
-//! `RwLock` (see the [`crate::Symbol`] interner for the idiom: an
-//! uncontended read-lock probe first, then a write-lock insert on miss).
-//! [`ConcurrentInterner<T>`] is the shared-by-many-threads variant: id
-//! dereference ([`ConcurrentInterner::get`]) is entirely lock-free via a
-//! [`ChunkedSlab`] node index, the hash-cons table is sharded so lookups
-//! from different threads rarely touch the same lock word, and hit
-//! counters are striped across padded per-thread cache lines. A single
-//! shared `RwLock` + one hit counter serializes parallel readers through
-//! two hot cache lines; the sharded layout removes exactly that.
+//! Id dereference ([`ConcurrentInterner::get`]) is on every hot path of the
+//! typecheckers and machines, so it reads a [`ChunkedSlab`] node index and
+//! takes no lock. Interning itself probes one `RwLock`'d hash-cons table
+//! (read lock first, write lock on a miss) and bumps one hit counter. The
+//! arena is `Sync`, so a `static` arena can be shared by test threads and
+//! by a caller's large-stack worker thread.
 //!
 //! # Examples
-//!
-//! ```
-//! use ps_ir::Interner;
-//! let mut arena: Interner<(u32, u32)> = Interner::new();
-//! let a = arena.insert((1, 2));
-//! let b = arena.insert((1, 2));
-//! assert_eq!(a, b);
-//! assert_eq!(arena.get(a), &(1, 2));
-//! assert_eq!(arena.len(), 1);
-//! ```
 //!
 //! ```
 //! use ps_ir::ConcurrentInterner;
@@ -39,12 +25,11 @@
 //! assert_eq!(ARENA.get(a), Some(&(1, 2)));
 //! ```
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr::null_mut;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // ----- hashing ------------------------------------------------------------
 
@@ -55,8 +40,7 @@ use std::sync::RwLock;
 /// SipHash's per-byte mixing dominates the interning hot path on such
 /// keys, while Fx folds a whole word per multiply. The tables never hold
 /// untrusted keys, so HashDoS resistance buys nothing here, and the fixed
-/// seed keeps hashes — and therefore shard assignment — deterministic
-/// across runs.
+/// seed keeps hashes deterministic across runs.
 #[derive(Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -124,81 +108,6 @@ impl Hasher for FxHasher {
 
 /// [`std::hash::BuildHasher`] for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A hash-consing arena mapping values of `T` to dense `u32` ids.
-///
-/// See the [module documentation](self) for the intended usage pattern.
-#[derive(Debug, Default)]
-pub struct Interner<T: 'static> {
-    nodes: Vec<&'static T>,
-    table: HashMap<&'static T, u32>,
-    hits: AtomicU64,
-}
-
-impl<T: Eq + Hash> Interner<T> {
-    /// An empty arena.
-    pub fn new() -> Interner<T> {
-        Interner {
-            nodes: Vec::new(),
-            table: HashMap::new(),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up an already-interned value without inserting, recording a
-    /// hit when found. Safe to call under a shared (read) lock.
-    pub fn lookup(&self, value: &T) -> Option<u32> {
-        let id = self.table.get(value).copied();
-        if id.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        id
-    }
-
-    /// Interns `value`, returning its id. Requires exclusive access; the
-    /// double-check against [`Self::lookup`] races is built in.
-    ///
-    /// # Panics
-    ///
-    /// Panics after `u32::MAX` distinct nodes (unreachable in practice).
-    #[allow(clippy::expect_used)]
-    pub fn insert(&mut self, value: T) -> u32 {
-        if let Some(&id) = self.table.get(&value) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return id;
-        }
-        let id = u32::try_from(self.nodes.len()).expect("interner overflow");
-        let node: &'static T = Box::leak(Box::new(value));
-        self.nodes.push(node);
-        self.table.insert(node, id);
-        id
-    }
-
-    /// The node for `id`. The reference is `'static`: nodes are never
-    /// dropped or moved once interned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this arena.
-    pub fn get(&self, id: u32) -> &'static T {
-        self.nodes[id as usize]
-    }
-
-    /// Number of distinct values interned.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Is the arena empty?
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Number of times an intern call found its value already present.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
 
 // ----- lock-free id-indexed storage ---------------------------------------
 
@@ -310,115 +219,51 @@ impl<T> Default for ChunkedSlab<T> {
 
 // ----- concurrent interner ------------------------------------------------
 
-/// Number of hash-cons table shards. A power of two; the shard of a value
-/// is the low bits of its hash.
-const SHARDS: usize = 16;
-
-/// Number of striped hit counters, each on its own cache line.
-const HIT_STRIPES: usize = 8;
-
-/// A hit counter padded to a cache line so stripes do not false-share.
-#[repr(align(64))]
-struct PaddedCounter(AtomicU64);
-
-/// The stripe this thread bumps: threads are assigned round-robin on
-/// first use, so concurrent certification workers land on distinct cache
-/// lines.
-fn stripe_index() -> usize {
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    STRIPE.with(|c| {
-        let mut i = c.get();
-        if i == usize::MAX {
-            i = NEXT.fetch_add(1, Ordering::Relaxed);
-            c.set(i);
-        }
-        i % HIT_STRIPES
-    })
-}
-
-/// A shared hash-consing arena built for parallel readers.
+/// A shared hash-consing arena: one hash-cons table behind an `RwLock`, a
+/// [`ChunkedSlab`] node index for lock-free [`get`](Self::get), and one hit
+/// counter.
 ///
-/// Functionally [`Interner`] behind synchronization, with the hot paths
-/// restructured so many threads interning and dereferencing concurrently
-/// do not bounce shared cache lines:
-///
-/// * [`get`](Self::get) (id → node) reads a [`ChunkedSlab`] — no lock;
-/// * [`intern`](Self::intern) probes one of [`SHARDS`] independent hash
-///   tables, taking a read lock on only that shard (write lock on miss);
-/// * hit counters are striped over padded per-thread cache lines.
-///
-/// Ids are dense across the whole arena (a shared allocation counter), and
-/// every node is published to the slab *before* its id is returned, so any
-/// id obtained from `intern` can be dereferenced lock-free forever.
+/// Ids are dense (the table's size at insertion), and every node is
+/// published to the slab *before* its id is returned, so any id obtained
+/// from [`intern`](Self::intern) can be dereferenced without a lock
+/// forever.
 pub struct ConcurrentInterner<T: 'static> {
-    shards: [Shard<T>; SHARDS],
+    table: RwLock<Table<T>>,
     nodes: ChunkedSlab<T>,
-    next: AtomicU32,
-    hits: [PaddedCounter; HIT_STRIPES],
+    hits: AtomicU64,
 }
 
-/// One hash-cons table shard, allocated lazily on first insert (`None`
-/// until then) so the arena itself can be a `const`-constructed `static`.
-type Shard<T> = RwLock<Option<HashMap<&'static T, u32, FxBuildHasher>>>;
-
-/// Read-locks a shard even if a writer panicked mid-insert: the tables are
-/// append-only caches, so a poisoned shard is still internally consistent.
-fn shard_read<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Write-lock counterpart of [`shard_read`].
-fn shard_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// The hash-cons table: node → id.
+type Table<T> = HashMap<&'static T, u32, FxBuildHasher>;
 
 impl<T: Eq + Hash> ConcurrentInterner<T> {
     /// An empty arena; usable in `static` initializers.
     #[must_use]
     pub const fn new() -> ConcurrentInterner<T> {
         ConcurrentInterner {
-            shards: [const { RwLock::new(None) }; SHARDS],
+            table: RwLock::new(HashMap::with_hasher(FxBuildHasher::new())),
             nodes: ChunkedSlab::new(),
-            next: AtomicU32::new(0),
-            hits: [const { PaddedCounter(AtomicU64::new(0)) }; HIT_STRIPES],
+            hits: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(value: &T) -> usize {
-        let mut h = FxHasher::default();
-        value.hash(&mut h);
-        // The map hasher consumes the same low bits first; take the top
-        // bits for the shard so the two partitions stay independent.
-        (h.finish() >> 60) as usize & (SHARDS - 1)
-    }
-
-    fn note_hit(&self) {
-        self.hits[stripe_index()].0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Interns `value`, returning its id.
+    /// Interns `value`, returning its id: a read-locked probe first, then a
+    /// write-locked re-probe and insert on a miss.
     ///
     /// # Panics
     ///
     /// Panics after `u32::MAX` distinct nodes (unreachable in practice).
     pub fn intern(&self, value: T) -> u32 {
-        let shard = &self.shards[Self::shard_of(&value)];
-        if let Some(&id) = shard_read(shard).as_ref().and_then(|m| m.get(&value)) {
-            self.note_hit();
+        if let Some(&id) = self.read().get(&value) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return id;
         }
-        let mut guard = shard_write(shard);
-        let map = guard.get_or_insert_with(HashMap::default);
+        let mut map = self.write();
         if let Some(&id) = map.get(&value) {
-            self.note_hit();
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return id;
         }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        let id = u32::try_from(map.len()).unwrap_or(u32::MAX);
         assert!(id != u32::MAX, "interner overflow");
         let node: &'static T = Box::leak(Box::new(value));
         // Publish for lock-free deref before the id can escape.
@@ -436,7 +281,7 @@ impl<T> ConcurrentInterner<T> {
 
     /// Number of distinct values interned.
     pub fn len(&self) -> usize {
-        self.next.load(Ordering::Relaxed) as usize
+        self.read().len()
     }
 
     /// Is the arena empty?
@@ -446,7 +291,18 @@ impl<T> ConcurrentInterner<T> {
 
     /// Number of times an intern call found its value already present.
     pub fn hits(&self) -> u64 {
-        self.hits.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Read-locks the table even if a writer panicked mid-insert: it is an
+    /// append-only cache, so a poisoned table is still consistent.
+    fn read(&self) -> RwLockReadGuard<'_, Table<T>> {
+        self.table.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write-lock counterpart of [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Table<T>> {
+        self.table.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -459,52 +315,6 @@ impl<T: Eq + Hash> Default for ConcurrentInterner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interning_is_idempotent() {
-        let mut arena: Interner<String> = Interner::new();
-        let a = arena.insert("x".to_string());
-        let b = arena.insert("x".to_string());
-        assert_eq!(a, b);
-        assert_eq!(arena.len(), 1);
-        assert_eq!(arena.hits(), 1);
-    }
-
-    #[test]
-    fn distinct_values_get_distinct_ids() {
-        let mut arena: Interner<u64> = Interner::new();
-        let a = arena.insert(1);
-        let b = arena.insert(2);
-        assert_ne!(a, b);
-        assert_eq!(arena.get(a), &1);
-        assert_eq!(arena.get(b), &2);
-    }
-
-    #[test]
-    fn lookup_without_insert() {
-        let mut arena: Interner<u64> = Interner::new();
-        assert_eq!(arena.lookup(&7), None);
-        let id = arena.insert(7);
-        assert_eq!(arena.lookup(&7), Some(id));
-        assert_eq!(arena.hits(), 1);
-    }
-
-    #[test]
-    fn nodes_are_static() {
-        let mut arena: Interner<Vec<u32>> = Interner::new();
-        let id = arena.insert(vec![1, 2, 3]);
-        let node: &'static Vec<u32> = arena.get(id);
-        assert_eq!(node.len(), 3);
-    }
-
-    #[test]
-    fn ids_are_dense() {
-        let mut arena: Interner<u32> = Interner::new();
-        for i in 0..100 {
-            assert_eq!(arena.insert(i), i);
-        }
-        assert_eq!(arena.len(), 100);
-    }
 
     #[test]
     fn slab_round_trips_across_chunk_boundaries() {

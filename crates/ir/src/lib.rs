@@ -29,6 +29,6 @@ pub mod scope;
 pub mod symbol;
 
 pub use doc::Doc;
-pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher, Interner};
+pub use interner::{ChunkedSlab, ConcurrentInterner, FxBuildHasher, FxHasher};
 pub use scope::{ScopedMap, Shadowed};
 pub use symbol::{Symbol, SymbolMap, SymbolSet};

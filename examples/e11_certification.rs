@@ -25,26 +25,18 @@ use std::time::Instant;
 
 use scavenger::gc_lang::machine::{Outcome, Program};
 use scavenger::gc_lang::memory::{GrowthPolicy, MemConfig};
-use scavenger::gc_lang::syntax::{Dialect, Term, Value};
+use scavenger::gc_lang::syntax::{Term, Value};
 use scavenger::gc_lang::tyck::Checker;
 use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
 use scavenger::{Collector, Compiled};
 
 const REPS: u32 = 5;
 
-fn dialect(c: Collector) -> Dialect {
-    match c {
-        Collector::Basic => Dialect::Basic,
-        Collector::Forwarding => Dialect::Forwarding,
-        Collector::Generational => Dialect::Generational,
-    }
-}
-
 /// `(cold seconds, best warm seconds)` for certifying one collector image.
 fn time_certification(c: Collector) -> (f64, f64) {
     let image = c.image();
     let program = Program {
-        dialect: dialect(c),
+        dialect: c.dialect(),
         code: image.code,
         main: Term::Halt(Value::Int(0)),
     };

@@ -1,25 +1,15 @@
-//! E13 — hash-consed terms/values and parallel certification.
+//! E13 — hash-consed terms and values: battery throughput on both
+//! backends.
 //!
-//! Two infrastructure measurements of the interned *program* layer
-//! (`gc_lang::intern` extended from tags/types to terms and values):
-//!
-//! 1. **Battery throughput on both backends.** The Fig. 5 substitution
-//!    machine clones its continuation at every `let` and re-substitutes
-//!    the whole program on every step; with interned terms a continuation
-//!    "clone" is a `u32` copy and `Subst` skips any subtree whose
-//!    free-variable fingerprint misses the domain, handing the same id
-//!    back. The bytecode VM benefits on its compile-time operand
-//!    classification and `Build` operands. Before/after numbers live in
-//!    EXPERIMENTS.md §E13 (before = the pre-refactor tree, same harness).
-//!
-//! 2. **Parallel certification.** Code blocks are checked under the same
-//!    immutable `Ψ|cd`, so `check_program` fans them out over a scoped
-//!    thread pool (`PS_CERT_THREADS`); the arenas and memos they share are
-//!    read lock-free (`ChunkedSlab`/`ConcurrentInterner`), so workers do
-//!    not serialize on the interning layer. This times the warm check of
-//!    each collector image at 1/2/4/8 workers. On a single-core host the
-//!    table can only show parity (threads time-slice); the printed
-//!    `parallelism` line records what the host offered.
+//! The interned *program* layer (`gc_lang::intern` extended from
+//! tags/types to terms and values) pays off on both machines. The Fig. 5
+//! substitution machine clones its continuation at every `let` and
+//! re-substitutes the whole program on every step; with interned terms a
+//! continuation "clone" is a `u32` copy and `Subst` skips any subtree whose
+//! free-variable fingerprint misses the domain, handing the same id back.
+//! The bytecode VM benefits on its compile-time operand classification and
+//! `Build` operands. Before/after numbers live in EXPERIMENTS.md §E13
+//! (before = the pre-refactor tree, same harness).
 //!
 //! ```text
 //! cargo run --release --example e13_term_interning
@@ -27,25 +17,11 @@
 
 use std::time::Instant;
 
-use scavenger::gc_lang::machine::{Outcome, Program};
-use scavenger::gc_lang::syntax::{Dialect, Term, Value};
-use scavenger::gc_lang::tyck::Checker;
+use scavenger::gc_lang::machine::Outcome;
 use scavenger::workloads::{compile_ast, live_dag_churn, live_tree_churn};
 use scavenger::{Backend, Collector, Compiled};
 
 const REPS: u32 = 5;
-/// Warm certification of one image is sub-millisecond; time it in batches
-/// so the clock resolution does not dominate.
-const CERT_BATCH: u32 = 50;
-
-fn dialect(c: Collector) -> Dialect {
-    match c {
-        Collector::Basic => Dialect::Basic,
-        Collector::Forwarding => Dialect::Forwarding,
-        Collector::Generational => Dialect::Generational,
-    }
-}
-
 /// The battery workloads, shared verbatim with the before-tree harness.
 fn battery() -> Vec<(String, Compiled)> {
     [3u32, 5, 7]
@@ -86,25 +62,8 @@ fn time_run(compiled: &Compiled, backend: Backend) -> (u64, f64) {
     (steps, best)
 }
 
-/// Best per-call seconds for a warm `check_program` over `CERT_BATCH`
-/// calls, repeated `REPS` times, at the given worker count.
-fn time_certification(program: &Program, threads: usize) -> f64 {
-    std::env::set_var("PS_CERT_THREADS", threads.to_string());
-    // Warm the arenas and memo tables outside the timed region.
-    Checker::check_program(program).expect("collector certifies");
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        for _ in 0..CERT_BATCH {
-            Checker::check_program(program).expect("collector certifies");
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / f64::from(CERT_BATCH));
-    }
-    best
-}
-
 fn main() {
-    println!("E13: term/value interning and parallel certification");
+    println!("E13: term/value interning");
 
     for backend in Backend::ALL {
         println!("\n-- battery runs, {backend} backend (plain, untracked) --");
@@ -121,34 +80,4 @@ fn main() {
             );
         }
     }
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("\n-- warm check_program, scaling over PS_CERT_THREADS --");
-    println!("host parallelism: {cores} core(s)");
-    println!(
-        "{:<16} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "collector", "1 (ms)", "2 (ms)", "4 (ms)", "8 (ms)", "x@4"
-    );
-    for c in Collector::ALL {
-        let image = c.image();
-        let program = Program {
-            dialect: dialect(c),
-            code: image.code,
-            main: Term::Halt(Value::Int(0)),
-        };
-        let times: Vec<f64> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&n| time_certification(&program, n))
-            .collect();
-        println!(
-            "{:<16} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>7.2}x",
-            c.to_string(),
-            times[0] * 1e3,
-            times[1] * 1e3,
-            times[2] * 1e3,
-            times[3] * 1e3,
-            times[0] / times[2]
-        );
-    }
-    std::env::remove_var("PS_CERT_THREADS");
 }

@@ -13,10 +13,10 @@ cargo test -q --workspace
 # drives the library API directly; build and test it here so an API change
 # breaks tier-1 rather than the next benchmark run.
 cargo test --offline --locked --manifest-path psbench/Cargo.toml -q
-# Certification parallelizes over code blocks by default; exercise the
-# serial path too so both sides of the PS_CERT_THREADS split stay green.
-PS_CERT_THREADS=1 ./target/release/psgc certify --collector generational >/dev/null
-PS_CERT_THREADS=4 ./target/release/psgc certify --collector generational >/dev/null
+# Every collector image certifies under its own dialect's typechecker.
+for collector in basic forwarding generational; do
+  ./target/release/psgc certify --collector "$collector" >/dev/null
+done
 # The bytecode VM end-to-end: a program that allocates and collects under
 # a tight budget, audited against Fig. 7 every 64 steps, plus the
 # disassembler over the same source and its golden-file test.

@@ -54,7 +54,6 @@ fn help_is_generated_from_the_flag_and_command_tables() {
         "--inject",
         "--max-heap-words",
         "--page-words",
-        "--dump-bytecode",
         "--trace",
         "--metrics",
         "--sample",
@@ -131,6 +130,7 @@ fn exit_codes_distinguish_failure_classes() {
     );
     assert_eq!(exit_code(&psgc(&["run", prog, "--budget", "many"])), 2);
     assert_eq!(exit_code(&psgc(&["run", prog, "--backend", "env"])), 2);
+    assert_eq!(exit_code(&psgc(&["run", prog, "--dump-bytecode"])), 2);
     assert_eq!(exit_code(&psgc(&["run", prog, "--budget"])), 2);
     assert_eq!(exit_code(&psgc(&["run"])), 2);
 
@@ -576,44 +576,58 @@ fn audit_mode_never_changes_observable_output() {
     }
 }
 
+/// A let chain of `n` bindings mixing arithmetic, pairs, projections and
+/// applied lambdas, so certification sees many code blocks.
+fn let_chain(n: usize) -> String {
+    let mut s = String::from("let x0 = 3 in\nlet p0 = (x0, 4) in\n");
+    let (mut last_int, mut last_pair) = (0, 0);
+    for i in 1..=n {
+        match i % 5 {
+            0 | 1 => s.push_str(&format!("let x{i} = x{last_int} + {i} in\n")),
+            2 => {
+                s.push_str(&format!("let p{i} = (x{last_int}, {i}) in\n"));
+                last_pair = i;
+                continue;
+            }
+            3 => s.push_str(&format!("let x{i} = fst p{last_pair} in\n")),
+            _ => s.push_str(&format!(
+                "let x{i} = (fn (y : int) => y * 2 + x{last_int}) x{last_int} in\n"
+            )),
+        }
+        last_int = i;
+    }
+    s.push_str(&format!("x{last_int}\n"));
+    s
+}
+
+/// Repeated runs of one program print byte-identical stdout, stderr and
+/// trace, interner counters included: nothing observable depends on
+/// scheduling.
 #[test]
-fn certification_thread_count_never_changes_observable_output() {
-    let prog = write_program("cert_threads.lam");
-    let run = |threads: &str, trace: &PathBuf| {
-        Command::new(env!("CARGO_BIN_EXE_psgc"))
-            .args([
-                "run",
-                prog.to_str().unwrap(),
-                "--stats",
-                "--metrics",
-                "--trace",
-                trace.to_str().unwrap(),
-            ])
-            .env("PS_CERT_THREADS", threads)
-            .output()
-            .expect("psgc runs")
+fn repeated_runs_are_byte_identical() {
+    let prog = scratch("repeat_let_chain.lam");
+    std::fs::write(&prog, let_chain(600)).expect("write program");
+    let trace = scratch("repeat_let_chain.jsonl");
+    let run = || {
+        let out = psgc(&[
+            "run",
+            prog.to_str().unwrap(),
+            "--stats",
+            "--metrics",
+            "--stats-intern",
+            "--trace",
+            trace.to_str().unwrap(),
+        ]);
+        assert_eq!(exit_code(&out), 0, "{out:?}");
+        let trace = std::fs::read(&trace).expect("trace written");
+        (out.stdout, out.stderr, trace)
     };
-    let trace_serial = scratch("cert_threads_serial.jsonl");
-    let serial = run("1", &trace_serial);
-    assert_eq!(exit_code(&serial), 0);
-    for threads in ["2", "4"] {
-        let trace_par = scratch("cert_threads_par.jsonl");
-        let par = run(threads, &trace_par);
-        assert_eq!(exit_code(&par), 0);
-        assert_eq!(
-            serial.stdout, par.stdout,
-            "stats/metrics must be byte-identical at PS_CERT_THREADS={threads}"
-        );
-        assert_eq!(
-            serial.stderr, par.stderr,
-            "diagnostics must be byte-identical at PS_CERT_THREADS={threads}"
-        );
-        let a = std::fs::read(&trace_serial).expect("serial trace");
-        let b = std::fs::read(&trace_par).expect("parallel trace");
-        assert_eq!(
-            a, b,
-            "telemetry event stream must be byte-identical at PS_CERT_THREADS={threads}"
-        );
+    let (stdout, stderr, first_trace) = run();
+    for i in 1..5 {
+        let (out, err, tr) = run();
+        assert_eq!(stdout, out, "run {i}: stdout must be byte-identical");
+        assert_eq!(stderr, err, "run {i}: stderr must be byte-identical");
+        assert_eq!(first_trace, tr, "run {i}: trace must be byte-identical");
     }
 }
 
